@@ -31,10 +31,9 @@ type sample = {
 type t = {
   decay : float;
   max_entries : int;
-  ring : int;
   mutable events : int;
   table : (int, entry) Hashtbl.t;
-  mutable recent : sample list; (* newest first, length ≤ ring *)
+  recent : sample Ringbuf.t;
 }
 
 let default_decay = 0.995
@@ -51,10 +50,9 @@ let create ?(decay = default_decay) ?(max_entries = default_max_entries)
   {
     decay;
     max_entries;
-    ring;
     events = 0;
     table = Hashtbl.create 64;
-    recent = [];
+    recent = Ringbuf.create ring;
   }
 
 let events t = t.events
@@ -66,7 +64,8 @@ let entries t =
   Hashtbl.fold (fun v e acc -> (v, e) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let samples t = t.recent
+let samples t = List.rev (Ringbuf.to_list t.recent)
+let ring t = Ringbuf.capacity t.recent
 
 (* The decayed weight of [e] as of event index [at]. *)
 let settled t e ~at = e.freq *. (t.decay ** float_of_int (at - e.freq_at))
@@ -135,15 +134,8 @@ let record_recreation t v ~seconds ~bytes ~predicted ?(trace = "") () =
       e.bytes <- e.bytes +. bytes;
       if trace > e.exemplar then e.exemplar <- trace
   | None -> ());
-  if t.ring > 0 then begin
-    let s = { version = v; s_seconds = seconds; s_bytes = bytes;
-              s_predicted = predicted }
-    in
-    t.recent <- s :: t.recent;
-    (match List.filteri (fun i _ -> i < t.ring) t.recent with
-    | r when List.length t.recent > t.ring -> t.recent <- r
-    | _ -> ())
-  end;
+  Ringbuf.push t.recent
+    { version = v; s_seconds = seconds; s_bytes = bytes; s_predicted = predicted };
   Metrics.observe "dsvc_obs_recreation_seconds" seconds
     ~help:"Observed checkout recreation wall-clock";
   Metrics.observe "dsvc_obs_recreation_bytes" bytes
@@ -196,7 +188,7 @@ let merge a b =
   let t =
     create ~decay:(Float.max a.decay b.decay)
       ~max_entries:(max a.max_entries b.max_entries)
-      ~ring:(max a.ring b.ring) ()
+      ~ring:(max (ring a) (ring b)) ()
   in
   t.events <- a.events + b.events;
   let add side e0 =
@@ -232,15 +224,16 @@ let merge a b =
     evict_coldest t
   done;
   (* Deterministic sample union: sort the concatenation (samples carry
-     no wall-clock order across ledgers) and keep the first [ring]. *)
-  t.recent <-
-    List.sort compare (a.recent @ b.recent)
-    |> List.filteri (fun i _ -> i < t.ring);
+     no wall-clock order across ledgers); the first [ring] of it become
+     the merged ring, newest first. *)
+  List.sort compare (samples a @ samples b)
+  |> List.rev
+  |> List.iter (Ringbuf.push t.recent);
   t
 
 (* ---- rendering / parsing ----
 
-   Line format, space-delimited like the repository metadata:
+   A [Linefile], like the repository metadata:
 
      telemetry 1
      decay <%h> <max_entries> <ring>
@@ -249,10 +242,7 @@ let merge a b =
      s <version> <seconds %h> <bytes %h> <predicted %h>
      end
 
-   Floats are hex so parse ∘ render is the identity; the trailer makes
-   a torn file detectable. *)
-
-let fh = Printf.sprintf "%h"
+   Floats are hex so parse ∘ render is the identity. *)
 
 (* Exemplars are trace ids (hex), but a hostile value must not corrupt
    the line format. *)
@@ -261,95 +251,73 @@ let clean_token s =
   if s <> "" && ok then s else "-"
 
 let render t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "telemetry 1\n";
-  Buffer.add_string buf
-    (Printf.sprintf "decay %s %d %d\n" (fh t.decay) t.max_entries t.ring);
-  Buffer.add_string buf (Printf.sprintf "events %d\n" t.events);
+  let fh = Linefile.hex in
+  Linefile.render "telemetry 1" @@ fun line ->
+  line (Printf.sprintf "decay %s %d %d" (fh t.decay) t.max_entries (ring t));
+  line (Printf.sprintf "events %d" t.events);
   List.iter
     (fun (v, e) ->
-      Buffer.add_string buf
-        (Printf.sprintf "v %d %d %d %s %d %d %s %s %s\n" v e.checkouts
+      line
+        (Printf.sprintf "v %d %d %d %s %d %d %s %s %s" v e.checkouts
            e.cache_hits (fh e.freq) e.freq_at e.observations (fh e.seconds)
            (fh e.bytes) (clean_token e.exemplar)))
     (entries t);
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "s %d %s %s %s\n" s.version (fh s.s_seconds)
-           (fh s.s_bytes) (fh s.s_predicted)))
-    (List.rev t.recent);
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+  Ringbuf.to_list t.recent
+  |> List.iter (fun s ->
+         line
+           (Printf.sprintf "s %d %s %s %s" s.version (fh s.s_seconds)
+              (fh s.s_bytes) (fh s.s_predicted)))
 
 let parse content =
-  let fail msg = Error (Printf.sprintf "corrupt telemetry ledger: %s" msg) in
-  let ( let* ) = Result.bind in
-  let int s = Option.to_result ~none:() (int_of_string_opt s) in
-  let flt s = Option.to_result ~none:() (float_of_string_opt s) in
+  let open Linefile in
   let t = ref (create ()) in
-  let parse_line line =
-    if line = "" then Ok ()
-    else
-      match String.split_on_char ' ' line with
-      | "telemetry" :: _ -> Ok ()
-      | [ "decay"; d; m; r ] -> (
-          match (flt d, int m, int r) with
-          | Ok d, Ok m, Ok r when d > 0.0 && d <= 1.0 && m >= 1 && r >= 0 ->
-              let cur = !t in
-              t :=
-                {
-                  (create ~decay:d ~max_entries:m ~ring:r ()) with
-                  events = cur.events;
-                };
-              Ok ()
-          | _ -> fail "bad decay line")
-      | [ "events"; n ] -> (
-          match int n with
-          | Ok n when n >= 0 ->
-              !t.events <- n;
-              Ok ()
-          | _ -> fail "bad events line")
-      | [ "v"; v; co; ch; fr; fa; ob; se; by; ex ] -> (
-          match (int v, int co, int ch, flt fr, int fa, int ob, flt se, flt by)
-          with
-          | Ok v, Ok co, Ok ch, Ok fr, Ok fa, Ok ob, Ok se, Ok by ->
-              Hashtbl.replace !t.table v
-                {
-                  checkouts = co;
-                  cache_hits = ch;
-                  freq = fr;
-                  freq_at = fa;
-                  observations = ob;
-                  seconds = se;
-                  bytes = by;
-                  exemplar = (if ex = "-" then "" else ex);
-                };
-              Ok ()
-          | _ -> fail "bad version line")
-      | [ "s"; v; se; by; pr ] -> (
-          match (int v, flt se, flt by, flt pr) with
-          | Ok v, Ok se, Ok by, Ok pr ->
-              !t.recent <-
-                { version = v; s_seconds = se; s_bytes = by; s_predicted = pr }
-                :: !t.recent;
-              Ok ()
-          | _ -> fail "bad sample line")
-      | _ -> fail ("unknown line: " ^ line)
+  let parse_line = function
+    | [ "decay"; d; m; r ] -> (
+        match (float d, int m, int r) with
+        | Ok d, Ok m, Ok r when d > 0.0 && d <= 1.0 && m >= 1 && r >= 0 ->
+            t :=
+              {
+                (create ~decay:d ~max_entries:m ~ring:r ()) with
+                events = !t.events;
+              };
+            Ok ()
+        | _ -> Error "bad decay line")
+    | [ "events"; n ] -> (
+        match int n with
+        | Ok n when n >= 0 ->
+            !t.events <- n;
+            Ok ()
+        | _ -> Error "bad events line")
+    | [ "v"; v; co; ch; fr; fa; ob; se; by; ex ] -> (
+        match (int v, int co, int ch, float fr, int fa, int ob, float se, float by)
+        with
+        | Ok v, Ok co, Ok ch, Ok fr, Ok fa, Ok ob, Ok se, Ok by ->
+            Hashtbl.replace !t.table v
+              {
+                checkouts = co;
+                cache_hits = ch;
+                freq = fr;
+                freq_at = fa;
+                observations = ob;
+                seconds = se;
+                bytes = by;
+                exemplar = (if ex = "-" then "" else ex);
+              };
+            Ok ()
+        | _ -> Error "bad version line")
+    | [ "s"; v; se; by; pr ] -> (
+        match (int v, float se, float by, float pr) with
+        | Ok v, Ok se, Ok by, Ok pr ->
+            Ringbuf.push !t.recent
+              { version = v; s_seconds = se; s_bytes = by; s_predicted = pr };
+            Ok ()
+        | _ -> Error "bad sample line")
+    | fields -> unknown fields
   in
-  let rec body acc = function
-    | [] -> fail "truncated ledger (missing end marker)"
-    | "end" :: rest ->
-        if List.for_all (fun l -> l = "") rest then Ok (List.rev acc)
-        else fail "content after end marker"
-    | l :: rest -> body (l :: acc) rest
-  in
-  let* lines = body [] (String.split_on_char '\n' content) in
-  let rec go = function
-    | [] -> Ok !t
-    | l :: tl -> ( match parse_line l with Ok () -> go tl | Error _ as e -> e)
-  in
-  go lines
+  Result.map
+    (fun () -> !t)
+    (Linefile.parse ~what:"telemetry ledger" ~magic:"telemetry" parse_line
+       content)
 
 let equal a b = render a = render b
 

@@ -1,8 +1,8 @@
 (* Bounded, tiered ring of periodic metric samples (DESIGN.md §16).
 
    Every recorded value lands in three downsampling tiers per series —
-   buckets of step, 10·step and 100·step seconds — each a ring of at
-   most [cap] buckets, so memory is O(series · tiers · cap) whatever
+   buckets of step, 10·step and 100·step seconds — each a [Ringbuf] of
+   at most [cap] buckets, so memory is O(series · tiers · cap) whatever
    the process uptime. A bucket aggregates count/sum/min/max/last, so
    a coarse tier answers the same questions as the fine one, just at
    lower resolution; [query] picks the finest tier whose retention
@@ -26,11 +26,7 @@ type point = {
   mutable p_last : float;
 }
 
-type tier = {
-  t_step : float;
-  t_cap : int;
-  mutable t_points : point list; (* newest first, length ≤ t_cap *)
-}
+type tier = { t_step : float; t_points : point Ringbuf.t }
 
 type t = {
   step : float;
@@ -70,30 +66,25 @@ let with_lock t f =
 
 let mk_tiers t =
   Array.map
-    (fun m -> { t_step = t.step *. float_of_int m; t_cap = t.cap; t_points = [] })
+    (fun m ->
+      { t_step = t.step *. float_of_int m; t_points = Ringbuf.create t.cap })
     tier_multipliers
 
 let bucket_of tier now = int_of_float (Float.floor (now /. tier.t_step))
 
-let trim tier =
-  if List.length tier.t_points > tier.t_cap then
-    tier.t_points <- List.filteri (fun i _ -> i < tier.t_cap) tier.t_points
-
 let record_tier tier ~now v =
   let bucket = bucket_of tier now in
-  match tier.t_points with
-  | p :: _ when p.p_bucket = bucket ->
+  match Ringbuf.newest tier.t_points with
+  | Some p when p.p_bucket = bucket ->
       p.p_count <- p.p_count + 1;
       p.p_sum <- p.p_sum +. v;
       if v < p.p_min then p.p_min <- v;
       if v > p.p_max then p.p_max <- v;
       p.p_last <- v
   | _ ->
-      tier.t_points <-
+      Ringbuf.push tier.t_points
         { p_bucket = bucket; p_count = 1; p_sum = v; p_min = v; p_max = v;
           p_last = v }
-        :: tier.t_points;
-      trim tier
 
 let record t ~now ~metric v =
   if Float.is_nan v then ()
@@ -135,7 +126,10 @@ let pick_tier tiers ~span =
   let n = Array.length tiers in
   let rec go i =
     if i >= n - 1 then tiers.(n - 1)
-    else if tiers.(i).t_step *. float_of_int tiers.(i).t_cap >= span then
+    else if
+      tiers.(i).t_step *. float_of_int (Ringbuf.capacity tiers.(i).t_points)
+      >= span
+    then
       tiers.(i)
     else go (i + 1)
   in
@@ -154,7 +148,7 @@ let query t ~metric ?since ~now () =
             (fun p ->
               let bucket_end = float_of_int (p.p_bucket + 1) *. tier.t_step in
               if bucket_end > since then Some (sample_of tier p) else None)
-            (List.rev tier.t_points))
+            (Ringbuf.to_list tier.t_points))
 
 let avg t ~metric ~window ~now =
   let samples = query t ~metric ~since:(now -. window) ~now () in
@@ -169,109 +163,75 @@ let latest t ~metric =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.series metric with
       | None -> None
-      | Some tiers -> (
-          match tiers.(0).t_points with
-          | p :: _ -> Some p.p_last
-          | [] -> None))
+      | Some tiers ->
+          Option.map (fun p -> p.p_last) (Ringbuf.newest tiers.(0).t_points))
 
 (* ---- rendering / parsing ----
 
-   Same idiom as the telemetry ledger: space-delimited lines, hex
-   floats so parse ∘ render is the identity, an [end] trailer so a
-   torn file is detectable. The series name is the LAST field and may
-   contain spaces (rendered label values can), so parsing rejoins the
-   tail:
+   A [Linefile] (hex floats, so parse ∘ render is the identity). The
+   series name is the LAST field and may contain spaces (rendered
+   label values can), so parsing rejoins the tail:
 
      timeseries 1
      conf <step %h> <cap>
      m <tier> <bucket> <count> <sum %h> <min %h> <max %h> <last %h> <name>
      end *)
 
-let fh = Printf.sprintf "%h"
-
 let render t =
   with_lock t (fun () ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "timeseries 1\n";
-      Buffer.add_string buf (Printf.sprintf "conf %s %d\n" (fh t.step) t.cap);
-      let names =
-        Hashtbl.fold (fun name _ acc -> name :: acc) t.series []
-        |> List.sort compare
-      in
-      List.iter
-        (fun name ->
-          let tiers = Hashtbl.find t.series name in
-          Array.iteri
-            (fun ti tier ->
-              List.iter
-                (fun p ->
-                  Buffer.add_string buf
-                    (Printf.sprintf "m %d %d %d %s %s %s %s %s\n" ti p.p_bucket
-                       p.p_count (fh p.p_sum) (fh p.p_min) (fh p.p_max)
-                       (fh p.p_last) name))
-                (List.rev tier.t_points))
-            tiers)
-        names;
-      Buffer.add_string buf "end\n";
-      Buffer.contents buf)
+      let fh = Linefile.hex in
+      Linefile.render "timeseries 1" @@ fun line ->
+      line (Printf.sprintf "conf %s %d" (fh t.step) t.cap);
+      Hashtbl.fold (fun name _ acc -> name :: acc) t.series []
+      |> List.sort compare
+      |> List.iter (fun name ->
+             Array.iteri
+               (fun ti tier ->
+                 Ringbuf.to_list tier.t_points
+                 |> List.iter (fun p ->
+                        line
+                          (Printf.sprintf "m %d %d %d %s %s %s %s %s" ti
+                             p.p_bucket p.p_count (fh p.p_sum) (fh p.p_min)
+                             (fh p.p_max) (fh p.p_last) name)))
+               (Hashtbl.find t.series name)))
 
 let parse content =
-  let fail msg = Error (Printf.sprintf "corrupt timeseries ledger: %s" msg) in
-  let ( let* ) = Result.bind in
-  let int s = Option.to_result ~none:() (int_of_string_opt s) in
-  let flt s = Option.to_result ~none:() (float_of_string_opt s) in
+  let open Linefile in
   let t = ref (create ~step:1.0 ()) in
-  let parse_line line =
-    if line = "" then Ok ()
-    else
-      match String.split_on_char ' ' line with
-      | "timeseries" :: _ -> Ok ()
-      | [ "conf"; s; c ] -> (
-          match (flt s, int c) with
-          | Ok s, Ok c when s > 0.0 && c >= 1 ->
-              t := create ~step:s ~cap:c ();
-              Ok ()
-          | _ -> fail "bad conf line")
-      | "m" :: ti :: bucket :: count :: sum :: mn :: mx :: last :: name_parts
-        -> (
-          let name = String.concat " " name_parts in
-          match (int ti, int bucket, int count, flt sum, flt mn, flt mx, flt last)
-          with
-          | Ok ti, Ok bucket, Ok count, Ok sum, Ok mn, Ok mx, Ok last
-            when name <> "" && ti >= 0 && ti < Array.length tier_multipliers
-                 && count >= 1 ->
-              let tiers =
-                match Hashtbl.find_opt !t.series name with
-                | Some tiers -> tiers
-                | None ->
-                    let tiers = mk_tiers !t in
-                    Hashtbl.add !t.series name tiers;
-                    tiers
-              in
-              let tier = tiers.(ti) in
-              (* file order is oldest first; pushing keeps newest first *)
-              tier.t_points <-
-                { p_bucket = bucket; p_count = count; p_sum = sum; p_min = mn;
-                  p_max = mx; p_last = last }
-                :: tier.t_points;
-              trim tier;
-              Ok ()
-          | _ -> fail "bad point line")
-      | _ -> fail ("unknown line: " ^ line)
+  let parse_line = function
+    | [ "conf"; s; c ] -> (
+        match (float s, int c) with
+        | Ok s, Ok c when s > 0.0 && c >= 1 ->
+            t := create ~step:s ~cap:c ();
+            Ok ()
+        | _ -> Error "bad conf line")
+    | "m" :: ti :: bucket :: count :: sum :: mn :: mx :: last :: name_parts -> (
+        let name = String.concat " " name_parts in
+        match (int ti, int bucket, int count, float sum, float mn, float mx, float last)
+        with
+        | Ok ti, Ok bucket, Ok count, Ok sum, Ok mn, Ok mx, Ok last
+          when name <> "" && ti >= 0 && ti < Array.length tier_multipliers
+               && count >= 1 ->
+            let tiers =
+              match Hashtbl.find_opt !t.series name with
+              | Some tiers -> tiers
+              | None ->
+                  let tiers = mk_tiers !t in
+                  Hashtbl.add !t.series name tiers;
+                  tiers
+            in
+            (* file order is oldest first, the ring's push order *)
+            Ringbuf.push tiers.(ti).t_points
+              { p_bucket = bucket; p_count = count; p_sum = sum; p_min = mn;
+                p_max = mx; p_last = last };
+            Ok ()
+        | _ -> Error "bad point line")
+    | fields -> unknown fields
   in
-  let rec body acc = function
-    | [] -> fail "truncated ledger (missing end marker)"
-    | "end" :: rest ->
-        if List.for_all (fun l -> l = "") rest then Ok (List.rev acc)
-        else fail "content after end marker"
-    | l :: rest -> body (l :: acc) rest
-  in
-  let* lines = body [] (String.split_on_char '\n' content) in
-  let rec go = function
-    | [] -> Ok !t
-    | l :: tl -> ( match parse_line l with Ok () -> go tl | Error _ as e -> e)
-  in
-  go lines
+  Result.map
+    (fun () -> !t)
+    (Linefile.parse ~what:"timeseries ledger" ~magic:"timeseries" parse_line
+       content)
 
 let equal a b = render a = render b
 

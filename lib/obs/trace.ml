@@ -35,18 +35,6 @@ let default_capacity = 8192
 let min_capacity = 16
 let max_capacity = 1 lsl 20
 
-let capacity_of_string s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= min_capacity && n <= max_capacity -> Ok n
-  | Some n ->
-      Error
-        (Printf.sprintf "DSVC_TRACE_RING must be between %d and %d (got %d)"
-           min_capacity max_capacity n)
-  | None ->
-      Error (Printf.sprintf "DSVC_TRACE_RING must be an integer (got %S)" s)
-
-(* Same validation as [capacity_of_string] (kept as the test hook /
-   [set_capacity] guard), through the shared env parser. *)
 let env_capacity =
   Obs.env_int "DSVC_TRACE_RING" ~min:min_capacity ~max:max_capacity
     ~default:default_capacity
@@ -55,13 +43,7 @@ let mutex = Mutex.create ()
 
 (* lint: mutable-ok bounded ring of completed spans; writes take
    [mutex] above, and nothing ever reads it to make a decision *)
-let ring : span option array ref = ref (Array.make env_capacity None)
-
-(* lint: mutable-ok ring cursor + total counter, same mutex *)
-let cursor = ref 0
-
-(* lint: mutable-ok same ring bookkeeping *)
-let recorded = ref 0
+let ring : span Ringbuf.t ref = ref (Ringbuf.create env_capacity)
 
 let next_id = Atomic.make 1
 
@@ -71,24 +53,16 @@ let with_lock f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let capacity () = with_lock (fun () -> Array.length !ring)
+let capacity () = with_lock (fun () -> Ringbuf.capacity !ring)
 
 let set_capacity n =
   if n < min_capacity || n > max_capacity then
     invalid_arg
       (Printf.sprintf "Trace.set_capacity: %d outside [%d, %d]" n min_capacity
          max_capacity);
-  with_lock (fun () ->
-      ring := Array.make n None;
-      cursor := 0;
-      recorded := 0)
+  with_lock (fun () -> ring := Ringbuf.create n)
 
-let record s =
-  with_lock (fun () ->
-      let ring = !ring in
-      ring.(!cursor) <- Some s;
-      cursor := (!cursor + 1) mod Array.length ring;
-      incr recorded)
+let record s = with_lock (fun () -> Ringbuf.push !ring s)
 
 let current_id () =
   if not (Obs.enabled ()) then None
@@ -168,24 +142,10 @@ let with_parent parent f =
     Fun.protect ~finally:(fun () -> stack := saved) f
   end
 
-let spans () =
-  with_lock (fun () ->
-      let ring = !ring in
-      let capacity = Array.length ring in
-      let n = min !recorded capacity in
-      let first = if !recorded <= capacity then 0 else !cursor in
-      List.init n (fun i ->
-          match ring.((first + i) mod capacity) with
-          | Some s -> s
-          | None -> assert false))
-
-let span_count () = with_lock (fun () -> !recorded)
-
-let reset () =
-  with_lock (fun () ->
-      Array.fill !ring 0 (Array.length !ring) None;
-      cursor := 0;
-      recorded := 0)
+let spans () = with_lock (fun () -> Ringbuf.to_list !ring)
+let spans_since n = with_lock (fun () -> Ringbuf.since !ring n)
+let span_count () = with_lock (fun () -> Ringbuf.pushed !ring)
+let reset () = with_lock (fun () -> Ringbuf.clear !ring)
 
 (* ---- Chrome trace_event ---- *)
 

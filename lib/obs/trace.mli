@@ -42,6 +42,12 @@ val spans : unit -> span list
 val span_count : unit -> int
 (** Total spans recorded since start/reset (may exceed the ring). *)
 
+val spans_since : int -> span list
+(** [spans_since mark] — the retained spans recorded after
+    [span_count ()] returned [mark], oldest first. Costs O(returned
+    spans), not O(ring): how [Server.handle_safe] summarises one
+    request. *)
+
 val reset : unit -> unit
 
 val capacity : unit -> int
@@ -50,15 +56,10 @@ val capacity : unit -> int
 
 val default_capacity : int
 
-val capacity_of_string : string -> (int, string) result
-(** Validate a [DSVC_TRACE_RING] value: an integer within
-    [[16, 1048576]]. The env path falls back to {!default_capacity}
-    (with a stderr warning) on anything else. *)
-
 val set_capacity : int -> unit
 (** Replace the ring with an empty one of the given capacity
-    (resetting recorded spans). Raises [Invalid_argument] outside the
-    bounds {!capacity_of_string} accepts. Primarily a test hook —
+    (resetting recorded spans). Raises [Invalid_argument] outside
+    [[16, 1048576]], the bounds [DSVC_TRACE_RING] accepts. Primarily a test hook —
     production configuration goes through [DSVC_TRACE_RING]. *)
 
 val to_chrome_json : unit -> string

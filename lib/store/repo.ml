@@ -10,6 +10,7 @@ module Obs = Versioning_obs.Obs
 module Telemetry = Versioning_obs.Telemetry
 module Timeseries = Versioning_obs.Timeseries
 module Context = Versioning_obs.Context
+module Linefile = Versioning_obs.Linefile
 
 let log_src = Logs.Src.create "dsvc.repo" ~doc:"Repository store"
 
@@ -357,21 +358,40 @@ let restore t ((commits, stored, branches, tags, head, next, gen) : snapshot) =
 
 (* ---- metadata persistence ---- *)
 
+(* One storage-map entry as Linefile fields: [<prefix> <id> full <digest>]
+   or [<prefix> <id> delta <parent> <digest>] — the [stored] lines of
+   the metadata and the [old]/[new] lines of the optimize journal. *)
+let stored_line prefix id s =
+  match s with
+  | Full d -> Printf.sprintf "%s %d full %s" prefix id d
+  | Delta_from (p, d) -> Printf.sprintf "%s %d delta %d %s" prefix id p d
+
+let parse_stored tbl fields =
+  let entry =
+    match fields with
+    | [ id; "full"; d ] ->
+        Option.map (fun id -> (id, Full d)) (int_of_string_opt id)
+    | [ id; "delta"; p; d ] -> (
+        match (int_of_string_opt id, int_of_string_opt p) with
+        | Some id, Some p -> Some (id, Delta_from (p, d))
+        | _ -> None)
+    | _ -> None
+  in
+  match entry with
+  | Some (id, s) ->
+      Hashtbl.replace tbl id s;
+      Ok ()
+  | None -> Error "bad stored line"
+
 let render_meta t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "dsvc 1\n";
-  Buffer.add_string buf (Printf.sprintf "head %s\n" t.head_branch);
-  Buffer.add_string buf (Printf.sprintf "next %d\n" t.next_id);
-  if t.generation > 0 then
-    Buffer.add_string buf (Printf.sprintf "gen %d\n" t.generation);
+  Linefile.render "dsvc 1" @@ fun line ->
+  line (Printf.sprintf "head %s" t.head_branch);
+  line (Printf.sprintf "next %d" t.next_id);
+  if t.generation > 0 then line (Printf.sprintf "gen %d" t.generation);
   List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf "branch %s %d\n" name v))
+    (fun (name, v) -> line (Printf.sprintf "branch %s %d" name v))
     t.branches;
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf "tag %s %d\n" name v))
-    t.tag_list;
+  List.iter (fun (name, v) -> line (Printf.sprintf "tag %s %d" name v)) t.tag_list;
   List.iter
     (fun c ->
       let parents =
@@ -379,23 +399,11 @@ let render_meta t =
         | [] -> "-"
         | ps -> String.concat "," (List.map string_of_int ps)
       in
-      Buffer.add_string buf
-        (Printf.sprintf "version %d %.6f %s %s\n" c.id c.timestamp parents
+      line
+        (Printf.sprintf "version %d %.6f %s %s" c.id c.timestamp parents
            (String.escaped c.message)))
     t.commits;
-  Hashtbl.iter
-    (fun id s ->
-      match s with
-      | Full digest ->
-          Buffer.add_string buf (Printf.sprintf "stored %d full %s\n" id digest)
-      | Delta_from (p, digest) ->
-          Buffer.add_string buf
-            (Printf.sprintf "stored %d delta %d %s\n" id p digest))
-    t.stored;
-  (* the trailer lets [load] tell a truncated (torn) file from a
-     complete one *)
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+  Hashtbl.iter (fun id s -> line (stored_line "stored" id s)) t.stored
 
 let save t =
   t.generation <- t.generation + 1;
@@ -420,96 +428,64 @@ let parse_meta path store content =
     mk_repo ~root:path ~store ~commits:[] ~stored:(Hashtbl.create 64)
       ~branches:[] ~tag_list:[] ~head_branch:"main" ~next_id:1
   in
-  let fail msg = Error (Printf.sprintf "corrupt repository metadata: %s" msg) in
-  let parse_line line =
-    if line = "" then Ok ()
-    else
-      match String.split_on_char ' ' line with
-      | "dsvc" :: _ -> Ok ()
-      | [ "head"; name ] ->
-          t.head_branch <- name;
-          Ok ()
-      | [ "next"; n ] -> (
-          match int_of_string_opt n with
-          | Some n ->
-              t.next_id <- n;
-              Ok ()
-          | None -> fail "bad next id")
-      | [ "gen"; n ] -> (
-          (* absent in pre-cluster metadata: generation stays 0 *)
-          match int_of_string_opt n with
-          | Some n ->
-              t.generation <- n;
-              Ok ()
-          | None -> fail "bad generation")
-      | [ "branch"; name; v ] -> (
-          match int_of_string_opt v with
-          | Some v ->
-              t.branches <- t.branches @ [ (name, v) ];
-              Ok ()
-          | None -> fail "bad branch head")
-      | [ "tag"; name; v ] -> (
-          match int_of_string_opt v with
-          | Some v ->
-              t.tag_list <- t.tag_list @ [ (name, v) ];
-              Ok ()
-          | None -> fail "bad tag target")
-      | "version" :: id :: ts :: parents :: msg_parts -> (
-          match (int_of_string_opt id, float_of_string_opt ts) with
-          | Some id, Some timestamp -> (
-              let message =
-                try Scanf.unescaped (String.concat " " msg_parts)
-                with Scanf.Scan_failure _ -> String.concat " " msg_parts
-              in
-              match
-                if parents = "-" then Ok []
-                else
-                  String.split_on_char ',' parents
-                  |> List.map int_of_string_opt
-                  |> List.fold_left
-                       (fun acc p ->
-                         match (acc, p) with
-                         | Ok acc, Some p -> Ok (acc @ [ p ])
-                         | _ -> Error ())
-                       (Ok [])
-              with
-              | Ok parents ->
-                  t.commits <-
-                    t.commits @ [ { id; parents; message; timestamp } ];
-                  Ok ()
-              | Error () -> fail "bad parent list")
-          | _ -> fail "bad version line")
-      | [ "stored"; id; "full"; digest ] -> (
-          match int_of_string_opt id with
-          | Some id ->
-              Hashtbl.replace t.stored id (Full digest);
-              Ok ()
-          | None -> fail "bad stored line")
-      | [ "stored"; id; "delta"; p; digest ] -> (
-          match (int_of_string_opt id, int_of_string_opt p) with
-          | Some id, Some p ->
-              Hashtbl.replace t.stored id (Delta_from (p, digest));
-              Ok ()
-          | _ -> fail "bad stored line")
-      | _ -> fail ("unknown line: " ^ line)
+  (* Branches, tags and versions are consed and reversed once at the
+     end: appending per line would be quadratic in the history. *)
+  let int_field what n k =
+    match int_of_string_opt n with
+    | Some n ->
+        k n;
+        Ok ()
+    | None -> Error what
   in
-  (* Split off the "end" trailer: its absence means the file was
-     truncated mid-write. *)
-  let rec body acc = function
-    | [] -> fail "truncated metadata (missing end marker)"
-    | "end" :: rest ->
-        if List.for_all (fun l -> l = "") rest then Ok (List.rev acc)
-        else fail "content after end marker"
-    | l :: rest -> body (l :: acc) rest
+  let parse_line = function
+    | [ "head"; name ] ->
+        t.head_branch <- name;
+        Ok ()
+    | [ "next"; n ] -> int_field "bad next id" n (fun n -> t.next_id <- n)
+    | [ "gen"; n ] ->
+        (* absent in pre-cluster metadata: generation stays 0 *)
+        int_field "bad generation" n (fun n -> t.generation <- n)
+    | [ "branch"; name; v ] ->
+        int_field "bad branch head" v (fun v ->
+            t.branches <- (name, v) :: t.branches)
+    | [ "tag"; name; v ] ->
+        int_field "bad tag target" v (fun v ->
+            t.tag_list <- (name, v) :: t.tag_list)
+    | "version" :: id :: ts :: parents :: msg_parts -> (
+        match (int_of_string_opt id, float_of_string_opt ts) with
+        | Some id, Some timestamp -> (
+            let message =
+              try Scanf.unescaped (String.concat " " msg_parts)
+              with Scanf.Scan_failure _ -> String.concat " " msg_parts
+            in
+            let parents =
+              if parents = "-" then Some []
+              else
+                List.fold_right
+                  (fun p acc ->
+                    match (int_of_string_opt p, acc) with
+                    | Some p, Some acc -> Some (p :: acc)
+                    | _ -> None)
+                  (String.split_on_char ',' parents)
+                  (Some [])
+            in
+            match parents with
+            | Some parents ->
+                t.commits <- { id; parents; message; timestamp } :: t.commits;
+                Ok ()
+            | None -> Error "bad parent list")
+        | _ -> Error "bad version line")
+    | "stored" :: rest -> parse_stored t.stored rest
+    | fields -> Linefile.unknown fields
   in
-  let* lines = body [] (String.split_on_char '\n' content) in
-  let rec go = function
-    | [] -> Ok ()
-    | l :: tl -> ( match parse_line l with Ok () -> go tl | Error _ as e -> e)
+  let* () =
+    Linefile.parse ~what:"repository metadata" ~magic:"dsvc" parse_line content
   in
-  let* () = go lines in
-  (* Newest first. *)
-  t.commits <- List.sort (fun a b -> compare b.id a.id) t.commits;
+  t.branches <- List.rev t.branches;
+  t.tag_list <- List.rev t.tag_list;
+  (* Newest first; reversing first keeps the stable sort's file order
+     among equal ids. *)
+  t.commits <- List.sort (fun a b -> compare b.id a.id) (List.rev t.commits);
   Ok t
 
 let load path store =
@@ -701,58 +677,23 @@ let check_all_versions t =
 
 (* ---- journal (two-phase optimize) ---- *)
 
-let stored_line prefix id s =
-  match s with
-  | Full d -> Printf.sprintf "%s %d full %s\n" prefix id d
-  | Delta_from (p, d) -> Printf.sprintf "%s %d delta %d %s\n" prefix id p d
-
 let write_journal t ~old_map ~new_map =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "journal 1\n";
-  Hashtbl.iter (fun id s -> Buffer.add_string buf (stored_line "old" id s)) old_map;
-  Hashtbl.iter (fun id s -> Buffer.add_string buf (stored_line "new" id s)) new_map;
-  Buffer.add_string buf "end\n";
-  Fsutil.write_file_atomic ~site:"repo.journal" (journal_file t.root)
-    (Buffer.contents buf)
+  let content =
+    Linefile.render "journal 1" @@ fun line ->
+    Hashtbl.iter (fun id s -> line (stored_line "old" id s)) old_map;
+    Hashtbl.iter (fun id s -> line (stored_line "new" id s)) new_map
+  in
+  Fsutil.write_file_atomic ~site:"repo.journal" (journal_file t.root) content
 
 let parse_journal content =
   let old_map = Hashtbl.create 64 and new_map = Hashtbl.create 64 in
-  let fail msg = Error (Printf.sprintf "corrupt journal: %s" msg) in
-  let entry tbl id kind rest =
-    match (int_of_string_opt id, kind, rest) with
-    | Some id, "full", [ d ] ->
-        Hashtbl.replace tbl id (Full d);
-        Ok ()
-    | Some id, "delta", [ p; d ] -> (
-        match int_of_string_opt p with
-        | Some p ->
-            Hashtbl.replace tbl id (Delta_from (p, d));
-            Ok ()
-        | None -> fail "bad delta parent")
-    | _ -> fail "bad stored entry"
+  let parse_line = function
+    | "old" :: rest -> parse_stored old_map rest
+    | "new" :: rest -> parse_stored new_map rest
+    | fields -> Linefile.unknown fields
   in
-  let parse_line line =
-    if line = "" then Ok ()
-    else
-      match String.split_on_char ' ' line with
-      | "journal" :: _ -> Ok ()
-      | "old" :: id :: kind :: rest -> entry old_map id kind rest
-      | "new" :: id :: kind :: rest -> entry new_map id kind rest
-      | _ -> fail ("unknown line: " ^ line)
-  in
-  let rec body acc = function
-    | [] -> fail "truncated (missing end marker)"
-    | "end" :: rest ->
-        if List.for_all (fun l -> l = "") rest then Ok (List.rev acc)
-        else fail "content after end marker"
-    | l :: rest -> body (l :: acc) rest
-  in
-  let* lines = body [] (String.split_on_char '\n' content) in
-  let rec go = function
-    | [] -> Ok (old_map, new_map)
-    | l :: tl -> ( match parse_line l with Ok () -> go tl | Error _ as e -> e)
-  in
-  go lines
+  let* () = Linefile.parse ~what:"journal" ~magic:"journal" parse_line content in
+  Ok (old_map, new_map)
 
 let remove_journal t =
   try Sys.remove (journal_file t.root) with Sys_error _ -> ()

@@ -6,6 +6,7 @@ module Metrics = Versioning_obs.Metrics
 module Trace = Versioning_obs.Trace
 module Context = Versioning_obs.Context
 module Flight = Versioning_obs.Flight
+module Ringbuf = Versioning_obs.Ringbuf
 module Timeseries = Versioning_obs.Timeseries
 module Alerts = Versioning_obs.Alerts
 module Sampler = Versioning_obs.Sampler
@@ -95,7 +96,8 @@ let status_of_error e =
 (* ---- recent-request table for GET /trace/:request_id ----
 
    A small bounded ring of per-request summaries (request id, route,
-   status, latency, and the span aggregate of that request's trace),
+   status, latency, and the aggregate of the spans recorded during that
+   request under its trace id),
    written by [handle_safe] after every request so a debug client can
    ask "what did request X spend its time on" shortly after the
    fact. *)
@@ -115,32 +117,17 @@ let recent_mutex = Mutex.create ()
 
 (* lint: mutable-ok bounded ring of recent request summaries; writes
    take [recent_mutex], read only by the /trace debug endpoint *)
-let recent_ring : recent_request option array = Array.make recent_capacity None
-
-(* lint: mutable-ok ring cursor, same mutex *)
-let recent_cursor = ref 0
+let recent_ring : recent_request Ringbuf.t = Ringbuf.create recent_capacity
 
 let with_recent_lock f =
   Mutex.lock recent_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock recent_mutex) f
 
-let remember_request r =
-  with_recent_lock (fun () ->
-      recent_ring.(!recent_cursor) <- Some r;
-      recent_cursor := (!recent_cursor + 1) mod recent_capacity)
+let remember_request r = with_recent_lock (fun () -> Ringbuf.push recent_ring r)
 
 let find_recent_request rid =
   with_recent_lock (fun () ->
-      (* newest first: walk backwards from the cursor *)
-      let rec go i n =
-        if n >= recent_capacity then None
-        else
-          let idx = (i + recent_capacity) mod recent_capacity in
-          match recent_ring.(idx) with
-          | Some r when r.r_request = rid -> Some r
-          | _ -> go (idx - 1) (n + 1)
-      in
-      go (!recent_cursor - 1) 0)
+      Ringbuf.find_newest (fun r -> r.r_request = rid) recent_ring)
 
 let recent_request_body r =
   let b = Buffer.create 256 in
@@ -696,6 +683,7 @@ let handle_safe ?cluster repo req =
     with e -> Http.error 500 ("internal error: " ^ Printexc.to_string e ^ "\n")
   in
   let route = route_label req.Http.meth req.Http.path in
+  let span_mark = Trace.span_count () in
   let t0 = Unix.gettimeofday () in
   let resp =
     Trace.with_span ?parent:ctx.Context.parent_span "server.request" run
@@ -724,12 +712,15 @@ let handle_safe ?cluster repo req =
   Log.info (fun m ->
       m "%s %s -> %d (%.3fms)" req.Http.meth req.Http.path resp.Http.status
         (dur *. 1000.0));
+  (* Only the spans recorded since this request began: O(request), not
+     O(ring), and a trace id shared with earlier requests does not pull
+     their spans in. *)
   let span_summary =
     if Obs.enabled () then
       Trace.summarize_spans
         (List.filter
            (fun (s : Trace.span) -> s.Trace.trace = Some ctx.Context.trace_id)
-           (Trace.spans ()))
+           (Trace.spans_since span_mark))
     else []
   in
   remember_request

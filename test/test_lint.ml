@@ -144,6 +144,20 @@ let test_r6 () =
 let cache = Hashtbl.create 8
 let run xs = Pool.parallel_map (fun x -> x) xs|}
     [ "R6-toplevel-mutable" ];
+  (* the shared bounded ring is mutable state like any other: every
+     module-level ring must carry its mutable-ok justification *)
+  check_rules "toplevel Ringbuf in a Pool-using module flagged"
+    ~file:"lib/store/par.ml"
+    {|module Pool = Versioning_util.Pool
+let recent = Versioning_obs.Ringbuf.create 64
+let run xs = Pool.parallel_map (fun x -> x) xs|}
+    [ "R6-toplevel-mutable" ];
+  check_rules "toplevel Ringbuf with mutable-ok is fine" ~file:"lib/store/par.ml"
+    {|module Pool = Versioning_util.Pool
+(* lint: mutable-ok guarded by a mutex *)
+let recent = Versioning_obs.Ringbuf.create 64
+let run xs = Pool.parallel_map (fun x -> x) xs|}
+    [];
   check_rules "same state without any Pool call site is fine"
     ~file:"lib/store/seq.ml"
     {|let cache = Hashtbl.create 8

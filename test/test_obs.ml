@@ -223,16 +223,9 @@ let test_chrome_export_and_summary () =
 
 (* ---- tracing: ring sizing, export shape, context, flight, logctx ---- *)
 
+(* DSVC_TRACE_RING itself is validated by Obs.env_int (garbage, min
+   and max are covered by the telemetry suite's env_int test). *)
 let test_trace_ring_capacity () =
-  Alcotest.(check (result int string))
-    "valid value" (Ok 64)
-    (Trace.capacity_of_string "64");
-  Alcotest.(check bool) "non-integer rejected" true
-    (Result.is_error (Trace.capacity_of_string "abc"));
-  Alcotest.(check bool) "too small rejected" true
-    (Result.is_error (Trace.capacity_of_string "4"));
-  Alcotest.(check bool) "empty rejected" true
-    (Result.is_error (Trace.capacity_of_string ""));
   let old = Trace.capacity () in
   Fun.protect ~finally:(fun () -> Trace.set_capacity old) @@ fun () ->
   Obs.with_enabled true @@ fun () ->
@@ -245,6 +238,11 @@ let test_trace_ring_capacity () =
   Alcotest.(check int) "ring bounded" 32 (List.length spans);
   (* 40 spans through a 32-slot ring: s0..s7 fell off the front *)
   Alcotest.(check string) "oldest survivor" "s8" (List.hd spans).Trace.name;
+  Alcotest.(check (list string))
+    "spans_since counts across the wrap" [ "s38"; "s39" ]
+    (List.map (fun s -> s.Trace.name) (Trace.spans_since 38));
+  Alcotest.(check int) "spans_since clamps to the retained window" 32
+    (List.length (Trace.spans_since 0));
   Alcotest.check_raises "below minimum"
     (Invalid_argument "Trace.set_capacity: 4 outside [16, 1048576]") (fun () ->
       Trace.set_capacity 4)

@@ -720,6 +720,45 @@ let test_trace_endpoint_and_request_id_echo () =
   let r = Server.handle_safe repo (mk_request "/trace/nosuch") in
   Alcotest.(check int) "unknown id is 404" 404 r.Http.status
 
+(* /trace/:id summarises the spans recorded during that request only:
+   a trace id shared with an earlier request does not pull the earlier
+   request's spans in, and a request made after the span ring wrapped
+   still gets its summary. *)
+let test_trace_summary_is_per_request () =
+  Obs.with_enabled true @@ fun () ->
+  let old = Trace.capacity () in
+  Fun.protect ~finally:(fun () -> Trace.set_capacity old) @@ fun () ->
+  Trace.set_capacity 16;
+  let repo = mk_repo () in
+  let ctx = Ctx.make ~sampled:false () in
+  let call rid path =
+    let headers =
+      [
+        ("traceparent", Ctx.to_traceparent ~span:7 ctx);
+        ("x-dsvc-request-id", rid);
+      ]
+    in
+    let r = Server.handle_safe repo (mk_request ~headers path) in
+    Alcotest.(check int) (path ^ " 200") 200 r.Http.status;
+    (Server.handle_safe repo (mk_request ("/trace/" ^ rid))).Http.body
+  in
+  let one_server_span = {|"name":"server.request","count":1,|} in
+  let first = call "req-first" "/checkout/1" in
+  Alcotest.(check bool) "first request summarised" true
+    (contains first one_server_span);
+  let second = call "req-second" "/versions" in
+  Alcotest.(check bool) "second summary names its own trace" true
+    (contains second ctx.Ctx.trace_id);
+  Alcotest.(check bool) "second summary counts only its own server span" true
+    (contains second one_server_span);
+  for i = 1 to 40 do
+    Trace.with_span (Printf.sprintf "filler%d" i) ignore
+  done;
+  Alcotest.(check bool) "the ring has wrapped" true (Trace.span_count () > 16);
+  let third = call "req-third" "/versions" in
+  Alcotest.(check bool) "a request after the wrap is still summarised" true
+    (contains third one_server_span)
+
 (* With the gate off and the context unsampled, tracing must change
    nothing: plans stay byte-identical across identical repositories
    and neither the span ring nor the flight recorder sees an event. *)
@@ -882,5 +921,7 @@ let suite =
       test_trace_propagation_end_to_end;
     Alcotest.test_case "trace endpoint and request id echo" `Quick
       test_trace_endpoint_and_request_id_echo;
+    Alcotest.test_case "trace summary is per request" `Quick
+      test_trace_summary_is_per_request;
     Alcotest.test_case "off mode is silent" `Quick test_off_mode_is_silent;
   ]

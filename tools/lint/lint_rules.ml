@@ -249,6 +249,7 @@ let mutable_ctors =
     ("Bytes", "create");
     ("Bytes", "make");
     ("Weak", "create");
+    ("Ringbuf", "create");
   ]
 
 let is_mutable_ctor path =
