@@ -2,11 +2,19 @@ module Digraph = Versioning_graph.Digraph
 
 type weight = { delta : float; phi : float }
 
-type t = { n : int; g : weight Digraph.t }
+(* [mat.(v)] mirrors the single [0 → v] edge of [g], so materialization
+   lookups need not scan vertex 0's out-bucket (one edge per version).
+   Every edge is added in this module, and a version's materialization
+   is revealed at most once, so the mirror is exact. *)
+type t = { n : int; g : weight Digraph.t; mat : weight option array }
 
 let create ~n_versions =
   if n_versions < 0 then invalid_arg "Aux_graph.create";
-  { n = n_versions; g = Digraph.create ~n:(n_versions + 1) }
+  {
+    n = n_versions;
+    g = Digraph.create ~n:(n_versions + 1);
+    mat = Array.make (n_versions + 1) None;
+  }
 
 let n_versions t = t.n
 let graph t = t.g
@@ -23,13 +31,13 @@ let add_materialization t ~version ~delta ~phi =
   check_version t version "add_materialization";
   check_cost delta "add_materialization";
   check_cost phi "add_materialization";
-  (match Digraph.find_edge t.g ~src:0 ~dst:version with
-  | Some _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Aux_graph.add_materialization: version %d already revealed" version)
-  | None -> ());
-  Digraph.add_edge t.g ~src:0 ~dst:version { delta; phi }
+  if t.mat.(version) <> None then
+    invalid_arg
+      (Printf.sprintf
+         "Aux_graph.add_materialization: version %d already revealed" version);
+  let w = { delta; phi } in
+  Digraph.add_edge t.g ~src:0 ~dst:version w;
+  t.mat.(version) <- Some w
 
 let add_delta t ~src ~dst ~delta ~phi =
   check_version t src "add_delta";
@@ -41,9 +49,7 @@ let add_delta t ~src ~dst ~delta ~phi =
 
 let materialization t v =
   check_version t v "materialization";
-  Option.map
-    (fun (e : weight Digraph.edge) -> e.label)
-    (Digraph.find_edge t.g ~src:0 ~dst:v)
+  t.mat.(v)
 
 let delta t ~src ~dst =
   check_version t src "delta";
@@ -55,7 +61,7 @@ let delta t ~src ~dst =
 let has_all_materializations t =
   let ok = ref true in
   for v = 1 to t.n do
-    if Digraph.find_edge t.g ~src:0 ~dst:v = None then ok := false
+    if t.mat.(v) = None then ok := false
   done;
   !ok
 
@@ -81,7 +87,9 @@ let is_proportional t =
   !ok
 
 let symmetrize t =
-  let t' = create ~n_versions:t.n in
+  let t' =
+    { n = t.n; g = Digraph.create ~n:(t.n + 1); mat = Array.copy t.mat }
+  in
   Digraph.iter_edges t.g (fun e ->
       Digraph.add_edge t'.g ~src:e.src ~dst:e.dst e.label);
   Digraph.iter_edges t.g (fun e ->

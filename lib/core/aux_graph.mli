@@ -36,7 +36,8 @@ val add_delta : t -> src:int -> dst:int -> delta:float -> phi:float -> unit
     mechanisms may exist); algorithms consider all of them. *)
 
 val materialization : t -> int -> weight option
-(** The [0 → i] weight, if revealed. First reveal wins for lookups. *)
+(** The [0 → i] weight, if revealed. O(1): the graph keeps an index of
+    its materializations. *)
 
 val delta : t -> src:int -> dst:int -> weight option
 (** The first-revealed [src → dst] weight, if any. *)

@@ -1,5 +1,4 @@
 module Digraph = Versioning_graph.Digraph
-module Pool = Versioning_util.Pool
 
 (* Candidate search is driven by the new version's revealed in-edges
    checked against a window membership table (O(in-degree) per
@@ -38,8 +37,7 @@ let window_touch w v =
         | _ -> () (* stale entry *))
   done
 
-let solve ?(depth_bias = true) ?(jobs = Pool.default_jobs ()) g ~window
-    ~max_depth =
+let solve ?(depth_bias = true) ?jobs:_ g ~window ~max_depth =
   if max_depth < 1 then invalid_arg "Gith.solve: max_depth must be >= 1";
   Solver_obs.timed ~algo:"gith" @@ fun () ->
   let n = Aux_graph.n_versions g in
@@ -55,18 +53,6 @@ let solve ?(depth_bias = true) ?(jobs = Pool.default_jobs ()) g ~window
       match compare (size b) (size a) with 0 -> compare a b | c -> c)
     order;
   let dg = Aux_graph.graph g in
-  (* The candidate ⟨Δ,Φ⟩ gather per version is a pure read of the aux
-     graph, so it fans out over the domain pool; only the selection
-     below is sequential (each choice mutates the window and the
-     depths the next choice depends on). Candidates keep [iter_in]
-     order, so selection sees exactly the sequential stream. *)
-  let candidates =
-    Pool.parallel_init ~jobs n (fun i ->
-        let acc = ref [] in
-        Digraph.iter_in dg (i + 1) (fun e ->
-            if e.src <> 0 then acc := (e.src, e.label) :: !acc);
-        Array.of_list (List.rev !acc))
-  in
   let depth = Array.make (n + 1) 0 in
   let parent = Array.make (n + 1) 0 in
   let weight =
@@ -98,21 +84,23 @@ let solve ?(depth_bias = true) ?(jobs = Pool.default_jobs ()) g ~window
         if idx = 0 then materialize v
         else begin
           let best = ref None in
-          Array.iter
-            (fun (l, label) ->
-              incr scanned;
-              if window_mem win l && depth.(l) < max_depth then begin
-                let score =
-                  if depth_bias then
-                    label.Aux_graph.delta
-                    /. float_of_int (max_depth - depth.(l))
-                  else label.Aux_graph.delta
-                in
-                match !best with
-                | Some (s, l', _) when s < score || (s = score && l' <= l) -> ()
-                | _ -> best := Some (score, l, label)
-              end)
-            candidates.(v - 1);
+          Digraph.iter_in dg v (fun e ->
+              let l = e.src in
+              if l <> 0 then begin
+                incr scanned;
+                if window_mem win l && depth.(l) < max_depth then begin
+                  let score =
+                    if depth_bias then
+                      e.label.Aux_graph.delta
+                      /. float_of_int (max_depth - depth.(l))
+                    else e.label.Aux_graph.delta
+                  in
+                  match !best with
+                  | Some (s, l', _) when s < score || (s = score && l' <= l) ->
+                      ()
+                  | _ -> best := Some (score, l, e.label)
+                end
+              end);
           match !best with
           | Some (_, l, w) ->
               incr deltas;

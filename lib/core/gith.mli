@@ -30,10 +30,8 @@ val solve :
     (the paper's "infinite window" runs). [depth_bias] (default true)
     applies the [Δ/(max_depth − depth)] scoring; [false] reverts to
     git's original raw-Δ rule (Appendix A notes the bias "was added at
-    a later point"), exposed for the ablation bench. [jobs] (default
-    {!Versioning_util.Pool.default_jobs}) parallelizes the per-version
-    candidate gather; the selection pass stays sequential (each choice
-    updates the window and depths the next depends on), and the
-    resulting tree is identical for every [jobs]. [Error] if some
-    version has neither a candidate delta nor a revealed
-    materialization. *)
+    a later point"), exposed for the ablation bench. [jobs] is ignored:
+    the solve is sequential (each choice updates the window and depths
+    the next depends on) and takes O(n log n + E); the argument remains
+    only so that existing callers compile. [Error] if some version has
+    neither a candidate delta nor a revealed materialization. *)

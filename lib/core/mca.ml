@@ -1,31 +1,30 @@
 module Digraph = Versioning_graph.Digraph
 
-(* Chu–Liu/Edmonds with explicit contraction history.
+(* Chu–Liu/Edmonds with synchronous rounds.
 
-   Levels: level 0 is the input graph. Each round selects the
-   cheapest in-edge of every non-root vertex; if the selection is
-   acyclic it is the arborescence of that level, otherwise every
-   selected cycle is contracted into a fresh supernode and edge
-   weights entering a cycle are reduced by the weight of the selected
-   in-edge of their target (the classic reduced costs), producing
-   level k+1. Each rebuilt edge keeps a pointer to the level-k edge it
-   came from, so the final selection can be unwound level by level:
-   the edge chosen into a supernode displaces exactly one cycle edge —
-   the one entering the vertex that the underlying edge enters. *)
+   Each round selects the cheapest in-edge of every active non-root
+   vertex (ties toward the smaller source id, then the earlier edge).
+   If the selection is acyclic it is the arborescence of that level;
+   otherwise every selected cycle is contracted into a fresh supernode
+   and edge weights entering a cycle are reduced by the weight of the
+   selected in-edge of their target (the classic reduced costs).
 
-type redge = {
-  src : int;
-  dst : int;
-  w : float;
-  below : redge option;  (* the edge this one was rebuilt from *)
-  level : int;  (* contraction round that rebuilt it; 0 = original *)
-  choice : int * int * Aux_graph.weight;  (* original (parent, child, weight) *)
-}
+   The surviving edges live in parallel arrays, compacted in place each
+   round; [orig] names the input edge each one stands for. An edge's
+   endpoint at any level is the active vertex containing its input
+   endpoint, so the unwind needs no per-level copies: the edge chosen
+   into a supernode displaces exactly the cycle edge of the member
+   that contains its input target, and every other member keeps its
+   cycle edge.
 
-type cycle_record = {
-  supernode : int;
-  members : (int * redge) list;  (* (vertex, its selected cycle in-edge) *)
-}
+   Parallel-edge prune: a rebuilt edge is dropped when an earlier edge
+   of the same (src, dst) pair is no more expensive. Parallel edges
+   share every later reduction (same target) and keep their relative
+   order, and float subtraction is monotone, so the earlier edge always
+   wins their tie and the dropped one could never be selected. Only
+   edges rebuilt this round have a new supernode endpoint, so only
+   they can have become parallel; input parallel reveals are left to
+   the selection's tie rule. *)
 
 let weight = Storage_graph.storage_cost
 
@@ -37,213 +36,180 @@ let solve g =
   (* Each contraction round removes at least one vertex net of the
      supernode it adds, so ids stay below 2 * n_orig + 1. *)
   let max_ids = (2 * n_orig) + 1 in
-  let edges0 =
-    Digraph.fold_edges dg ~init:[] ~f:(fun acc e ->
-        {
-          src = e.src;
-          dst = e.dst;
-          w = e.label.Aux_graph.delta;
-          below = None;
-          level = 0;
-          choice = (e.src, e.dst, e.label);
-        }
-        :: acc)
+  (* Input edges in the order rounds scan them: the reverse of
+     [Digraph.iter_edges]. *)
+  let input =
+    Array.of_list (Digraph.fold_edges dg ~init:[] ~f:(fun acc e -> e :: acc))
   in
-  let active = Array.make max_ids false in
-  let active_list = ref [] in
-  for v = n_orig - 1 downto 0 do
-    active.(v) <- true;
-    active_list := v :: !active_list
-  done;
+  let n_edges = Array.length input in
+  let src = Array.map (fun (e : _ Digraph.edge) -> e.src) input in
+  let dst = Array.map (fun (e : _ Digraph.edge) -> e.dst) input in
+  let w =
+    Array.map (fun (e : _ Digraph.edge) -> e.label.Aux_graph.delta) input
+  in
+  let orig = Array.init n_edges Fun.id in
+  let m = ref n_edges in
+  (* Active vertices, in the order cycles are searched for. *)
+  let act = Array.init max_ids Fun.id and n_act = ref n_orig in
+  let act' = Array.make max_ids 0 in
+  (* Per-vertex scratch, reset over the active vertices only. *)
+  let best = Array.make max_ids (-1) in
+  let color = Array.make max_ids 0 in
+  let comp = Array.make max_ids 0 in
+  let path = Array.make max_ids 0 in
+  (* Set when a vertex is contracted: the weight and input edge of its
+     selected in-edge, and the supernode that absorbed it. *)
+  let red = Array.make max_ids 0.0 in
+  let cyc_in = Array.make max_ids (-1) in
+  let super = Array.make max_ids (-1) in
+  let pairs = Hashtbl.create 64 in
   let next_id = ref n_orig in
   let round = ref 0 in
-  let history : cycle_record list list ref = ref [] in
-  let edges = ref edges0 in
-  let final_selection = ref None in
-  let error = ref None in
-  while !final_selection = None && !error = None do
-    (* Cheapest in-edge per active non-root vertex. *)
-    let best : redge option array = Array.make max_ids None in
-    List.iter
-      (fun e ->
-        if e.dst <> root && active.(e.src) && active.(e.dst) && e.src <> e.dst
-        then
-          match best.(e.dst) with
-          | None -> best.(e.dst) <- Some e
-          | Some b ->
-              if e.w < b.w || (e.w = b.w && e.src < b.src) then
-                best.(e.dst) <- Some e)
-      !edges;
-    let missing = ref None in
-    List.iter
-      (fun v ->
-        if v <> root && best.(v) = None && !missing = None then
-          missing := Some v)
-      !active_list;
-    (match !missing with
-    | Some _ ->
+  (* (supernode, members), newest first *)
+  let history = ref [] in
+  let finished = ref false and error = ref None in
+  while not (!finished || Option.is_some !error) do
+    for i = 0 to !n_act - 1 do
+      best.(act.(i)) <- -1
+    done;
+    for i = 0 to !m - 1 do
+      let d = dst.(i) in
+      if d <> root then begin
+        let b = best.(d) in
+        if b < 0 || w.(i) < w.(b) || (w.(i) = w.(b) && src.(i) < src.(b)) then
+          best.(d) <- i
+      end
+    done;
+    for i = 0 to !n_act - 1 do
+      let v = act.(i) in
+      if v <> root && best.(v) < 0 then
         error :=
           Some "some version has no revealed in-edge: no valid solution exists"
-    | None -> ());
-    if !error = None then begin
-      (* Find cycles among selected edges by pointer-chasing. *)
-      let color = Array.make max_ids 0 in
-      (* 0 unvisited / 1 on current path / 2 done *)
-      let cycles = ref [] in
+    done;
+    if Option.is_none !error then begin
+      (* Find cycles among selected edges by pointer-chasing; colors:
+         0 unvisited / 1 on current path / 2 done. *)
+      for i = 0 to !n_act - 1 do
+        color.(act.(i)) <- 0
+      done;
       color.(root) <- 2;
-      List.iter
-        (fun start ->
-        if active.(start) && color.(start) = 0 then begin
-          let path = ref [] in
-          let v = ref start in
-          while active.(!v) && color.(!v) = 0 do
+      let cycles = ref [] in
+      for i = 0 to !n_act - 1 do
+        let start = act.(i) in
+        if color.(start) = 0 then begin
+          let len = ref 0 and v = ref start in
+          while color.(!v) = 0 do
             color.(!v) <- 1;
-            path := !v :: !path;
-            match best.(!v) with
-            | Some e -> v := e.src
-            | None -> (* root only *) ()
+            path.(!len) <- !v;
+            incr len;
+            v := src.(best.(!v))
           done;
           if color.(!v) = 1 then begin
-            (* Extract the cycle: the suffix of [path] from !v. *)
-            let cycle_start = !v in
-            let members = ref [] in
-            let collecting = ref false in
-            List.iter
-              (fun u ->
-                if u = cycle_start then collecting := true;
-                if !collecting then
-                  match best.(u) with
-                  | Some e -> members := (u, e) :: !members
-                  | None -> assert false)
-              (List.rev !path);
-            cycles := !members :: !cycles
+            let from = ref (!len - 1) in
+            while path.(!from) <> !v do
+              decr from
+            done;
+            cycles := Array.sub path !from (!len - !from) :: !cycles
           end;
-          List.iter (fun u -> color.(u) <- 2) !path
-        end)
-        !active_list;
-      if !cycles = [] then begin
-        let selection = ref [] in
-        List.iter
-          (fun v ->
-            if v <> root then
-              match best.(v) with
-              | Some e -> selection := (v, e) :: !selection
-              | None -> assert false)
-          !active_list;
-        final_selection := Some !selection
-      end
+          for p = 0 to !len - 1 do
+            color.(path.(p)) <- 2
+          done
+        end
+      done;
+      if !cycles = [] then finished := true
       else begin
         (* Contract every cycle. *)
-        let comp = Array.make max_ids (-1) in
-        List.iter (fun v -> comp.(v) <- v) !active_list;
-        let records =
-          List.map
-            (fun members ->
-              let s = !next_id in
-              incr next_id;
-              assert (s < max_ids);
-              List.iter (fun (v, _) -> comp.(v) <- s) members;
-              { supernode = s; members })
-            !cycles
-        in
-        (* Reduced cost for edges entering a contracted vertex. *)
-        let reduced e =
-          match best.(e.dst) with
-          | Some b when comp.(e.dst) <> e.dst -> e.w -. b.w
-          | _ -> e.w
-        in
-        incr round;
-        (* Only edges touching a contracted vertex are rebuilt; the
-           rest survive untouched (their [level] stays older, so the
-           unwind skips them until their own round). *)
-        let new_edges =
-          List.filter_map
-            (fun e ->
-              let s = comp.(e.src) and d = comp.(e.dst) in
-              if s = d then None
-              else if s = e.src && d = e.dst then Some e
-              else
-                Some
-                  { src = s; dst = d; w = reduced e; below = Some e;
-                    level = !round; choice = e.choice })
-            !edges
-        in
+        for i = 0 to !n_act - 1 do
+          comp.(act.(i)) <- act.(i)
+        done;
+        let n' = ref 0 in
         List.iter
-          (fun r ->
-            List.iter (fun (v, _) -> active.(v) <- false) r.members;
-            active.(r.supernode) <- true)
-          records;
-        active_list :=
-          List.map (fun r -> r.supernode) records
-          @ List.filter (fun v -> active.(v)) !active_list;
-        history := records :: !history;
-        edges := new_edges
+          (fun members ->
+            let s = !next_id in
+            incr next_id;
+            Array.iter
+              (fun v ->
+                comp.(v) <- s;
+                super.(v) <- s;
+                red.(v) <- w.(best.(v));
+                cyc_in.(v) <- orig.(best.(v)))
+              members;
+            history := (s, members) :: !history;
+            act'.(!n') <- s;
+            incr n')
+          !cycles;
+        for i = 0 to !n_act - 1 do
+          let v = act.(i) in
+          if comp.(v) = v then begin
+            act'.(!n') <- v;
+            incr n'
+          end
+        done;
+        Array.blit act' 0 act 0 !n';
+        n_act := !n';
+        incr round;
+        (* Compact in place: drop edges inside a cycle, keep the rest in
+           order, rebuilding (and pruning) those touching a cycle. *)
+        Hashtbl.reset pairs;
+        let j = ref 0 in
+        for i = 0 to !m - 1 do
+          let s0 = src.(i) and d0 = dst.(i) in
+          let s = comp.(s0) and d = comp.(d0) in
+          if s <> d then begin
+            let wi = if d <> d0 then w.(i) -. red.(d0) else w.(i) in
+            let keep =
+              (s = s0 && d = d0)
+              ||
+              let key = (s * max_ids) + d in
+              match Hashtbl.find_opt pairs key with
+              | Some e when w.(e) <= wi -> false
+              | _ ->
+                  Hashtbl.replace pairs key !j;
+                  true
+            in
+            if keep then begin
+              src.(!j) <- s;
+              dst.(!j) <- d;
+              w.(!j) <- wi;
+              orig.(!j) <- orig.(i);
+              incr j
+            end
+          end
+        done;
+        m := !j
       end
     end
   done;
   Solver_obs.count ~algo:"mca" "dsvc_solver_iterations_total" (!round + 1)
     ~help:"Main-loop iterations (heap pops, rounds), by algorithm";
   Solver_obs.count ~algo:"mca" "dsvc_solver_cycles_contracted_total"
-    (List.fold_left (fun acc r -> acc + List.length r) 0 !history)
+    (!next_id - n_orig)
     ~help:"Cycles contracted by Chu-Liu/Edmonds rounds";
   match !error with
   | Some e -> Error e
-  | None -> (
-      let selection = Option.get !final_selection in
-      (* Unwind the contraction history. [m] maps each vertex at the
-         current level to its selected in-edge (an edge of that same
-         level). Each transition unwraps every surviving edge exactly
-         one level and replaces each supernode by its members. *)
-      let m = Hashtbl.create (2 * n_orig) in
-      List.iter (fun (v, e) -> Hashtbl.replace m v e) selection;
-      (* [history] lists transitions newest first; unwrap an edge only
-         when processing the round that rebuilt it. *)
-      let level = ref !round in
-      let unwrap e =
-        if e.level = !level then
-          match e.below with Some u -> u | None -> assert false
-        else e
-      in
+  | None ->
+      (* [chosen.(v)]: the input edge selected into [v]. Expand the
+         supernodes newest first, so each one's entry is set before its
+         members are. *)
+      let chosen = Array.make max_ids (-1) in
+      for i = 0 to !n_act - 1 do
+        let v = act.(i) in
+        if v <> root then chosen.(v) <- orig.(best.(v))
+      done;
       List.iter
-        (fun records ->
-          (* pull out this transition's supernode entries first *)
-          let super_edges =
-            List.map
-              (fun r ->
-                let e =
-                  match Hashtbl.find_opt m r.supernode with
-                  | Some e -> e
-                  | None -> assert false
-                in
-                Hashtbl.remove m r.supernode;
-                (r, e))
-              records
-          in
-          (* every surviving entry rebuilt at this round moves down *)
-          let snapshot = Hashtbl.fold (fun v e acc -> (v, e) :: acc) m [] in
-          List.iter
-            (fun (v, e) ->
-              if e.level = !level then Hashtbl.replace m v (unwrap e))
-            snapshot;
-          (* expand each cycle: the member the incoming edge really
-             enters keeps it, all other members keep their cycle
-             edges *)
-          List.iter
-            (fun (r, e) ->
-              let under = unwrap e in
-              List.iter
-                (fun (v, cyc_edge) ->
-                  if v = under.dst then Hashtbl.replace m v under
-                  else Hashtbl.replace m v cyc_edge)
-                r.members)
-            super_edges;
-          decr level)
+        (fun (s, members) ->
+          let e = chosen.(s) in
+          let u = ref input.(e).dst in
+          while super.(!u) <> s do
+            u := super.(!u)
+          done;
+          Array.iter
+            (fun v -> chosen.(v) <- (if v = !u then e else cyc_in.(v)))
+            members)
         !history;
       let choices =
         List.init (n_orig - 1) (fun i ->
-            let v = i + 1 in
-            match Hashtbl.find_opt m v with
-            | Some e -> e.choice
-            | None -> assert false)
+            let e = input.(chosen.(i + 1)) in
+            (e.src, e.dst, e.label))
       in
-      Storage_graph.of_parent_edges ~n:(n_orig - 1) choices)
+      Storage_graph.of_parent_edges ~n:(n_orig - 1) choices

@@ -1,7 +1,8 @@
 (** Minimum-cost arborescence (directed MST) rooted at [V0] — the
     optimal storage graph for Problem 1 in the {e directed} cases
     (Lemma 2 / Table 1), computed with Edmonds' algorithm
-    (Chu–Liu/Edmonds with cycle contraction), O(EV).
+    (Chu–Liu/Edmonds with cycle contraction), O(E·R) for R ≤ V
+    contraction rounds.
 
     This is the minimum-storage extreme of the tradeoff: no other
     valid solution stores fewer bytes, but recreation costs are
@@ -11,7 +12,8 @@
 val solve : Aux_graph.t -> (Storage_graph.t, string) result
 (** [Error] when some version has no revealed in-edge reachable from
     the root (no valid solution exists). Deterministic: weight ties
-    are broken toward smaller source ids. *)
+    are broken toward smaller source ids, and among parallel reveals
+    of equal weight toward the last revealed. *)
 
 val weight : Storage_graph.t -> float
 (** Alias for {!Storage_graph.storage_cost}. *)

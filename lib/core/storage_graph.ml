@@ -93,7 +93,7 @@ let of_parent_edges ~n choices =
          (List.length choices))
   else build_internal n (Array.of_list choices)
 
-let of_parents ?(jobs = Versioning_util.Pool.default_jobs ()) g ~parents =
+let of_parents g ~parents =
   let n = Aux_graph.n_versions g in
   let lookup (p, v) =
     if v < 1 || v > n then
@@ -110,20 +110,14 @@ let of_parents ?(jobs = Versioning_util.Pool.default_jobs ()) g ~parents =
       | Some w -> Ok (p, v, w)
       | None -> Error (Printf.sprintf "delta %d -> %d is not revealed" p v)
   in
-  (* Each lookup is an independent read of the (frozen) aux graph, so
-     they run on the domain pool; the first error in list order wins,
-     exactly as a sequential scan would report. *)
-  let resolved =
-    Versioning_util.Pool.parallel_map ~jobs lookup (Array.of_list parents)
+  let rec collect acc = function
+    | [] -> of_parent_edges ~n (List.rev acc)
+    | c :: rest -> (
+        match lookup c with
+        | Ok e -> collect (e :: acc) rest
+        | Error _ as e -> e)
   in
-  let rec collect i acc =
-    if i = Array.length resolved then of_parent_edges ~n (List.rev acc)
-    else
-      match resolved.(i) with
-      | Ok c -> collect (i + 1) (c :: acc)
-      | Error e -> Error e
-  in
-  collect 0 []
+  collect [] parents
 
 let parent t v =
   if v < 1 || v > n_versions t then invalid_arg "Storage_graph.parent";

@@ -15,14 +15,12 @@
 type t
 
 val of_parents :
-  ?jobs:int -> Aux_graph.t -> parents:(int * int) list -> (t, string) result
+  Aux_graph.t -> parents:(int * int) list -> (t, string) result
 (** [of_parents g ~parents] builds a solution from [(parent, child)]
     choices, one per version, looking up each edge's weight in [g]
     (first-revealed weight wins). Returns [Error] describing the first
     violation if the choices are not a spanning arborescence rooted at
-    0 or use unrevealed edges. [jobs] (default
-    {!Versioning_util.Pool.default_jobs}) parallelizes the weight
-    lookups; the result is identical for every value. *)
+    0 or use unrevealed edges. *)
 
 val of_parent_edges :
   n:int ->

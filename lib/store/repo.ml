@@ -1389,7 +1389,7 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
           | { tree = Some sg; _ } -> Ok sg
           | { tree = None; _ } -> Error "recreation bound infeasible")
       | Git_window (w, d) ->
-          Versioning_core.Gith.solve ~jobs aux ~window:w ~max_depth:d
+          Versioning_core.Gith.solve aux ~window:w ~max_depth:d
       | Svn_skip ->
           Versioning_core.Skip_delta.solve aux
             ~order:(Array.init n (fun i -> i + 1))
@@ -1512,7 +1512,7 @@ let advise t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
         (Versioning_core.Solution_check.check aux sg)
     in
     let* current =
-      Storage_graph.of_parents ~jobs aux ~parents:(storage_parents t)
+      Storage_graph.of_parents aux ~parents:(storage_parents t)
     in
     let* _report = check_str current in
     let phi = Storage_graph.recreation_costs current in

@@ -119,7 +119,10 @@ let test_invalid_solutions () =
   (* unrevealed edge *)
   let e = expect_err [ (0, 1); (1, 2); (1, 3); (1, 4); (3, 5) ] in
   Alcotest.(check bool) "unrevealed edge rejected" true
-    (String.length e > 0)
+    (String.length e > 0);
+  (* of several violations, the first in list order is reported *)
+  Alcotest.(check string) "first violation wins" "parent 99 out of range"
+    (expect_err [ (0, 1); (99, 2); (1, 77); (4, 3) ])
 
 let test_weighted_recreation () =
   let g = Fixtures.figure1 () in
@@ -153,6 +156,81 @@ let test_random_consistency () =
     | Error _ -> ()
   done
 
+(* ---- the materialization index ---- *)
+
+(* The reference: vertex 0's out-bucket, first edge into [v]. *)
+let scanned_materialization g v =
+  List.find_map
+    (fun (e : Aux_graph.weight Versioning_graph.Digraph.edge) ->
+      if e.dst = v then Some e.label else None)
+    (Versioning_graph.Digraph.out_edges (Aux_graph.graph g) 0)
+
+let index_matches_scan g =
+  let n = Aux_graph.n_versions g in
+  let all = ref true and same = ref true in
+  for v = 1 to n do
+    let scanned = scanned_materialization g v in
+    if scanned = None then all := false;
+    if Aux_graph.materialization g v <> scanned then same := false
+  done;
+  !same && Aux_graph.has_all_materializations g = !all
+
+(* A random graph where some versions lack a materialization and some
+   pairs carry parallel reveals. *)
+let sparse_graph seed =
+  let rng = Prng.create ~seed in
+  let n = Prng.int_in rng 1 12 in
+  let g = Aux_graph.create ~n_versions:n in
+  for v = 1 to n do
+    if Prng.bernoulli rng 0.8 then begin
+      let c = float_of_int (Prng.int_in rng 50 150) in
+      Aux_graph.add_materialization g ~version:v ~delta:c
+        ~phi:(c +. float_of_int (Prng.int rng 3))
+    end
+  done;
+  for _ = 1 to Prng.int rng (3 * n) do
+    let s = Prng.int_in rng 1 n and d = Prng.int_in rng 1 n in
+    if s <> d then
+      Aux_graph.add_delta g ~src:s ~dst:d
+        ~delta:(float_of_int (Prng.int_in rng 1 40))
+        ~phi:(float_of_int (Prng.int_in rng 1 40))
+  done;
+  (g, rng)
+
+let qcheck_index_matches_scan =
+  QCheck.Test.make ~name:"materialization index = root-bucket scan" ~count:200
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g, rng = sparse_graph seed in
+      let n = Aux_graph.n_versions g in
+      let sub =
+        Versioning_workload.Subgraph.bfs_sample g
+          ~n:(Prng.int_in rng 1 n) rng
+      in
+      let views = [ g; Aux_graph.symmetrize g; sub ] in
+      List.for_all index_matches_scan views
+      && (* a repeated reveal is still rejected; a first one lands *)
+      List.for_all
+        (fun g ->
+          let ok = ref true in
+          for v = 1 to Aux_graph.n_versions g do
+            match Aux_graph.materialization g v with
+            | Some _ -> (
+                match
+                  Aux_graph.add_materialization g ~version:v ~delta:1. ~phi:1.
+                with
+                | () -> ok := false
+                | exception Invalid_argument _ -> ())
+            | None ->
+                Aux_graph.add_materialization g ~version:v ~delta:7. ~phi:8.;
+                if
+                  Aux_graph.materialization g v
+                  <> Some { Aux_graph.delta = 7.; phi = 8. }
+                then ok := false
+          done;
+          !ok && index_matches_scan g && Aux_graph.has_all_materializations g)
+        views)
+
 let suite =
   [
     Alcotest.test_case "aux construction" `Quick test_construction;
@@ -165,4 +243,5 @@ let suite =
     Alcotest.test_case "weighted recreation" `Quick test_weighted_recreation;
     Alcotest.test_case "to_parents roundtrip" `Quick test_to_parents_roundtrip;
     Alcotest.test_case "random consistency" `Quick test_random_consistency;
+    QCheck_alcotest.to_alcotest qcheck_index_matches_scan;
   ]

@@ -173,6 +173,141 @@ let test_online_follows_history () =
   Alcotest.(check bool) "online >= offline optimum" true
     (Online.storage_cost t >= Storage_graph.storage_cost base -. 1e-6)
 
+(* ---- pinned plans ----
+
+   Every solver's decisions, tie-breaks included, on two seeded
+   1500-version DC cost graphs: the MD5 of the plan's (parent, child)
+   pairs with its C and ΣR. Solver rewrites must leave these unchanged;
+   a deliberate change of policy regenerates them. *)
+
+let dc_graph seed =
+  let rng = Prng.create ~seed in
+  let history =
+    History_gen.generate (History_gen.flat_params ~n_commits:1500) rng
+  in
+  Cost_gen.generate ~jobs:1 history
+    {
+      Cost_gen.default_params with
+      max_hops = 5;
+      reveal_cap = 12;
+      size_jitter = 0.002;
+    }
+    rng
+
+(* The solve_large cycle: LMG at 1.5 × C_MCA, MP at 2 × max R_SPT,
+   GitH(10, 50). *)
+let cycle g =
+  let mca = Fixtures.ok (Mca.solve g) in
+  let spt = Fixtures.ok (Spt.solve g) in
+  let lmg =
+    Lmg.solve g ~base:mca ~spt ~budget:(1.5 *. Storage_graph.storage_cost mca) ()
+  in
+  let mp =
+    Option.get
+      (Mp.solve g ~theta:(2.0 *. Storage_graph.max_recreation spt)).Mp.tree
+  in
+  let gith = Fixtures.ok (Gith.solve g ~window:10 ~max_depth:50) in
+  [ ("mca", mca); ("spt", spt); ("lmg", lmg); ("mp", mp); ("gith", gith) ]
+
+let plan_digest sg =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map
+             (fun (p, c) -> Printf.sprintf "%d,%d" p c)
+             (Storage_graph.to_parents sg))))
+
+let pinned =
+  [
+    ( 1,
+      [
+        ("mca", "b198f7c946b5e8ddca058b35ff5d3cf3", 564594.68838211603, 151360943.75071314);
+        ("spt", "14d15fbf6db221b1488b9d0d02149646", 14308471.559020301, 14308471.559020301);
+        ("lmg", "4e661a5e52ad2c9f7cdecb862d133c6b", 844483.72576516843, 19178787.938208573);
+        ("mp", "f2a0b4a1453d086045c7b79570905254", 835882.57635450282, 21739052.992990538);
+        ("gith", "eda5bb88f751e7b4fd7e2e2f51f3d6fa", 9588122.3666552044, 15112299.755409973);
+      ] );
+    ( 2,
+      [
+        ("mca", "8168f1b9c6990b24c1600eb90c670aa3", 571918.24878108443, 185958997.3788819);
+        ("spt", "14d15fbf6db221b1488b9d0d02149646", 14708247.289166529, 14708247.289166529);
+        ("lmg", "8d6c084aa318483ac40eb86fed4fe664", 850606.63337948138, 19881921.220748533);
+        ("mp", "0ccaacc4310ce9c3db056bb2d5861f88", 878748.60319896054, 22156455.295927726);
+        ("gith", "59e2e1ead18eef8abb54593e4cbc0849", 10260358.535460202, 15312920.948377967);
+      ] );
+  ]
+
+let test_solver_plans_pinned () =
+  List.iter
+    (fun (seed, expected) ->
+      let g = dc_graph seed in
+      let plans = cycle g in
+      List.iter
+        (fun (name, digest, c, sum_r) ->
+          let sg = List.assoc name plans in
+          let label what = Printf.sprintf "seed %d %s %s" seed name what in
+          Fixtures.check_valid g sg;
+          Alcotest.(check string) (label "plan") digest (plan_digest sg);
+          Alcotest.(check (float 0.)) (label "C") c (Storage_graph.storage_cost sg);
+          Alcotest.(check (float 0.)) (label "sum R") sum_r
+            (Storage_graph.sum_recreation sg);
+          (* the plan rebuilt from its parent choices alone *)
+          let back =
+            Fixtures.ok
+              (Storage_graph.of_parents g ~parents:(Storage_graph.to_parents sg))
+          in
+          Alcotest.(check string) (label "of_parents plan") digest (plan_digest back);
+          Alcotest.(check (float 0.)) (label "of_parents C") c
+            (Storage_graph.storage_cost back))
+        expected)
+    pinned
+
+(* The cost graphs above have almost no weight ties. Small integer
+   weights have many, so these pins catch a changed tie-break: one
+   digest per solver over 300 random graphs. *)
+let pinned_ties =
+  [
+    ("mca", "c2942031ca2bd987b30e83627f58add9");
+    ("spt", "0e1ab333b6d2f7f47104b721eb036850");
+    ("lmg", "5a640932fd6dbc3b082f6e469e8a200b");
+    ("mp", "a2bfcc1a96e14c2dcbe82ad371283d51");
+    ("gith", "2f06b568e5e35178b2809fc39dfab6a0");
+  ]
+
+let test_tie_breaks_pinned () =
+  let rng = Prng.create ~seed:5 in
+  let acc = Hashtbl.create 5 in
+  for _ = 1 to 300 do
+    let g = Fixtures.random_graph ~n_min:5 ~n_max:30 ~density:0.3 rng in
+    List.iter
+      (fun (name, sg) ->
+        Fixtures.check_valid g sg;
+        Hashtbl.replace acc name
+          (plan_digest sg :: Option.value ~default:[] (Hashtbl.find_opt acc name)))
+      (cycle g)
+  done;
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check string) name expected
+        (Digest.to_hex (Digest.string (String.concat "" (Hashtbl.find acc name)))))
+    pinned_ties
+
+(* Chu-Liu/Edmonds' round structure on the first pinned graph. *)
+let test_mca_counters_pinned () =
+  let module Obs = Versioning_obs.Obs in
+  let module Metrics = Versioning_obs.Metrics in
+  let g = dc_graph 1 in
+  let value name =
+    Option.value ~default:0.0 (List.assoc_opt name (Metrics.snapshot_values ()))
+  in
+  let cycles = {|dsvc_solver_cycles_contracted_total{algo="mca"}|} in
+  let rounds = {|dsvc_solver_iterations_total{algo="mca"}|} in
+  Obs.with_enabled true @@ fun () ->
+  let c0 = value cycles and r0 = value rounds in
+  ignore (Fixtures.ok (Mca.solve g));
+  Alcotest.(check (float 0.)) "cycles contracted" 1322. (value cycles -. c0);
+  Alcotest.(check (float 0.)) "rounds" 218. (value rounds -. r0)
+
 let suite =
   [
     Alcotest.test_case "pipeline invariants" `Quick test_pipeline_invariants;
@@ -184,4 +319,7 @@ let suite =
       test_dedup_vs_delta_storage;
     Alcotest.test_case "online follows history" `Quick
       test_online_follows_history;
+    Alcotest.test_case "solver plans pinned" `Quick test_solver_plans_pinned;
+    Alcotest.test_case "tie-breaks pinned" `Quick test_tie_breaks_pinned;
+    Alcotest.test_case "mca counters pinned" `Quick test_mca_counters_pinned;
   ]

@@ -1,7 +1,7 @@
 (* The domain pool: deterministic results at any [jobs], exception
    propagation, and byte-identical parallel vs sequential plans for
-   the phases that fan out over it (cost generation, GitH, storage
-   graphs, Repo.optimize) plus the checkout materialization cache. *)
+   the phases that fan out over it (cost generation, Repo.optimize)
+   plus the checkout materialization cache. *)
 
 open Versioning_core
 open Versioning_workload
@@ -100,36 +100,6 @@ let test_cost_gen_parallel_identical () =
         true
         (edge_list seq = edge_list par))
     [ 2; 4 ]
-
-let test_gith_parallel_identical () =
-  let g = gen_aux ~jobs:1 in
-  let seq = ok (Gith.solve ~jobs:1 g ~window:10 ~max_depth:20) in
-  List.iter
-    (fun jobs ->
-      let par = ok (Gith.solve ~jobs g ~window:10 ~max_depth:20) in
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "tree identical jobs=%d" jobs)
-        (Storage_graph.to_parents seq)
-        (Storage_graph.to_parents par))
-    [ 2; 4 ]
-
-let test_of_parents_parallel_identical () =
-  let g = gen_aux ~jobs:1 in
-  let parents = Storage_graph.to_parents (ok (Mca.solve g)) in
-  let seq = ok (Storage_graph.of_parents ~jobs:1 g ~parents) in
-  let par = ok (Storage_graph.of_parents ~jobs:4 g ~parents) in
-  Alcotest.(check (list (pair int int)))
-    "parents identical"
-    (Storage_graph.to_parents seq)
-    (Storage_graph.to_parents par);
-  Alcotest.(check (float 1e-9))
-    "storage cost identical"
-    (Storage_graph.storage_cost seq)
-    (Storage_graph.storage_cost par);
-  (* first error in order, as a sequential scan would report *)
-  Alcotest.(check bool) "same error" true
-    (Storage_graph.of_parents ~jobs:1 g ~parents:[ (0, 1); (99, 2) ]
-    = Storage_graph.of_parents ~jobs:4 g ~parents:[ (0, 1); (99, 2) ])
 
 (* A small repository with branchy content, built identically twice. *)
 let build_repo () =
@@ -258,10 +228,6 @@ let suite =
     Alcotest.test_case "default jobs bounds" `Quick test_default_jobs_bounds;
     Alcotest.test_case "cost_gen parallel identical" `Quick
       test_cost_gen_parallel_identical;
-    Alcotest.test_case "gith parallel identical" `Quick
-      test_gith_parallel_identical;
-    Alcotest.test_case "of_parents parallel identical" `Quick
-      test_of_parents_parallel_identical;
     Alcotest.test_case "optimize parallel identical" `Quick
       test_optimize_parallel_identical;
     Alcotest.test_case "cache hits and content" `Quick

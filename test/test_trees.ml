@@ -135,6 +135,59 @@ let test_mca_nested_cycles () =
   Alcotest.(check (list int)) "root choice" [ 1 ]
     (Storage_graph.materialized_versions sg)
 
+(* Parallel edges: MCA selects the cheapest in-edge and, among equal
+   weights from one source, the edge listed first in its scan order —
+   the reverse of reveal order. The Φ of the chosen edge shows which
+   one won. *)
+let mca_choice g =
+  let sg = Fixtures.ok (Mca.solve g) in
+  Fixtures.check_valid g sg;
+  ( Storage_graph.to_parents sg,
+    List.init (Aux_graph.n_versions g) (fun i ->
+        (Storage_graph.edge_weight sg (i + 1)).Aux_graph.phi) )
+
+let choice = Alcotest.(pair (list (pair int int)) (list (float 0.)))
+
+let test_mca_parallel_reveals () =
+  let g = Aux_graph.create ~n_versions:2 in
+  Aux_graph.add_materialization g ~version:1 ~delta:100. ~phi:100.;
+  Aux_graph.add_materialization g ~version:2 ~delta:100. ~phi:100.;
+  Aux_graph.add_delta g ~src:1 ~dst:2 ~delta:5. ~phi:7.;
+  Aux_graph.add_delta g ~src:1 ~dst:2 ~delta:5. ~phi:9.;
+  Alcotest.check choice "equal weights: last reveal wins"
+    ([ (0, 1); (1, 2) ], [ 100.; 9. ])
+    (mca_choice g);
+  Aux_graph.add_delta g ~src:1 ~dst:2 ~delta:4. ~phi:11.;
+  Alcotest.check choice "a cheaper parallel reveal wins"
+    ([ (0, 1); (1, 2) ], [ 100.; 11. ])
+    (mca_choice g)
+
+(* 1 -> 2 and 1 -> 3 only become parallel once the 2-cycle {2, 3} is
+   contracted; both are reduced by 1. *)
+let contracted_pair ~w12 ~w13 =
+  let g = Aux_graph.create ~n_versions:3 in
+  Aux_graph.add_materialization g ~version:1 ~delta:10. ~phi:10.;
+  Aux_graph.add_materialization g ~version:2 ~delta:100. ~phi:100.;
+  Aux_graph.add_materialization g ~version:3 ~delta:100. ~phi:100.;
+  Aux_graph.add_delta g ~src:1 ~dst:2 ~delta:w12 ~phi:12.;
+  Aux_graph.add_delta g ~src:1 ~dst:3 ~delta:w13 ~phi:13.;
+  Aux_graph.add_delta g ~src:2 ~dst:3 ~delta:1. ~phi:23.;
+  Aux_graph.add_delta g ~src:3 ~dst:2 ~delta:1. ~phi:32.;
+  g
+
+let test_mca_parallel_after_contraction () =
+  (* equal reduced weights: 1 -> 3 is listed first and wins *)
+  Alcotest.check choice "tie after contraction"
+    ([ (0, 1); (3, 2); (1, 3) ], [ 10.; 32.; 13. ])
+    (mca_choice (contracted_pair ~w12:6. ~w13:6.));
+  (* the later-listed edge is strictly cheaper: it must survive *)
+  Alcotest.check choice "later cheaper edge after contraction"
+    ([ (0, 1); (1, 2); (2, 3) ], [ 10.; 12.; 23. ])
+    (mca_choice (contracted_pair ~w12:5.5 ~w13:6.));
+  Alcotest.check choice "earlier cheaper edge after contraction"
+    ([ (0, 1); (3, 2); (1, 3) ], [ 10.; 32.; 13. ])
+    (mca_choice (contracted_pair ~w12:6. ~w13:5.5))
+
 let test_mst_prim_equals_kruskal () =
   let rng = Prng.create ~seed:29 in
   for _ = 1 to 60 do
@@ -182,6 +235,9 @@ let suite =
     Alcotest.test_case "mca unreachable" `Quick test_mca_unreachable;
     Alcotest.test_case "mca cycle contraction" `Quick test_mca_cycle_contraction;
     Alcotest.test_case "mca nested cycles" `Quick test_mca_nested_cycles;
+    Alcotest.test_case "mca parallel reveals" `Quick test_mca_parallel_reveals;
+    Alcotest.test_case "mca parallel after contraction" `Quick
+      test_mca_parallel_after_contraction;
     Alcotest.test_case "prim = kruskal" `Quick test_mst_prim_equals_kruskal;
     Alcotest.test_case "mst = mca on symmetric" `Quick
       test_mst_undirected_equals_mca;
