@@ -7,11 +7,12 @@ type t = { script : op list }
 
 (* A document is its '\n'-separated pieces: n newlines yield n+1
    pieces, so a trailing newline is represented by a final empty piece
-   and [String.concat "\n"] is an exact inverse. *)
-let split_lines s = Array.of_list (String.split_on_char '\n' s)
+   and [join] is an exact inverse. *)
+let split s = Array.of_list (String.split_on_char '\n' s)
+let join lines = String.concat "\n" (Array.to_list lines)
 
 let diff a b =
-  let la = split_lines a and lb = split_lines b in
+  let la = split a and lb = split b in
   let raw = Myers.diff ~equal:String.equal la lb in
   let script =
     List.map
@@ -23,34 +24,49 @@ let diff a b =
   in
   { script }
 
-let apply a { script } =
-  let la = split_lines a in
-  let out = ref [] in
-  let pos = ref 0 in
+(* Two passes: the first checks the script against the source and
+   sizes the result, so every overrun is reported before anything is
+   built; the second blits kept and inserted lines, sharing the line
+   strings rather than copying them. *)
+let apply_lines la { script } =
+  let src = Array.length la in
+  let pos = ref 0 and len = ref 0 in
   List.iter
-    (fun op ->
-      match op with
+    (function
       | Keep k ->
-          if !pos + k > Array.length la then
-            invalid_arg "Line_diff.apply: source too short";
-          for i = !pos to !pos + k - 1 do
-            out := la.(i) :: !out
-          done;
-          pos := !pos + k
+          if !pos + k > src then invalid_arg "Line_diff.apply: source too short";
+          pos := !pos + k;
+          len := !len + k
       | Delete k ->
-          if !pos + k > Array.length la then
-            invalid_arg "Line_diff.apply: source too short";
+          if !pos + k > src then invalid_arg "Line_diff.apply: source too short";
           pos := !pos + k
-      | Insert lines -> Array.iter (fun l -> out := l :: !out) lines)
+      | Insert lines -> len := !len + Array.length lines)
     script;
-  if !pos <> Array.length la then
+  if !pos <> src then
     invalid_arg "Line_diff.apply: script does not consume the whole source";
-  String.concat "\n" (List.rev !out)
+  (* An empty result is the empty document, whose one piece is "":
+     [split (join out) = out] must hold for every result. *)
+  let out = Array.make (max !len 1) "" in
+  let pos = ref 0 and at = ref 0 in
+  List.iter
+    (function
+      | Keep k ->
+          Array.blit la !pos out !at k;
+          pos := !pos + k;
+          at := !at + k
+      | Delete k -> pos := !pos + k
+      | Insert lines ->
+          Array.blit lines 0 out !at (Array.length lines);
+          at := !at + Array.length lines)
+    script;
+  out
+
+let apply a d = join (apply_lines (split a) d)
 
 let ops { script } = script
 
 let invert a { script } =
-  let la = split_lines a in
+  let la = split a in
   let pos = ref 0 in
   let inv =
     List.map

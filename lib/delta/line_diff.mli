@@ -24,9 +24,27 @@ val diff : string -> string -> t
     distinguished. *)
 
 val apply : string -> t -> string
-(** [apply a d] reconstructs [b]. @raise Invalid_argument when [a] is
-    not the document the delta was built against (detected by script
-    overrun; content drift on equal shape is not detectable). *)
+(** [apply a d] reconstructs [b]; it is [join (apply_lines (split a) d)].
+    @raise Invalid_argument when [a] is not the document the delta was
+    built against (detected by script overrun; content drift on equal
+    shape is not detectable). *)
+
+val split : string -> string array
+(** [split a] is [a]'s lines: its ['\n']-separated pieces, so [n]
+    newlines give [n + 1] pieces and a trailing newline gives a final
+    [""]. The empty document is [[|""|]]. *)
+
+val join : string array -> string
+(** [join lines] concatenates [lines] with ['\n'] between them, the
+    exact inverse of {!split}: [join (split a) = a]. *)
+
+val apply_lines : string array -> t -> string array
+(** [apply_lines (split a) d] is [split (apply a d)], computed array to
+    array: kept and inserted lines are shared, not copied. Replaying a
+    chain of deltas this way costs one {!split} and one {!join} in
+    total rather than one of each per delta.
+    @raise Invalid_argument exactly when {!apply} does, with the same
+    message. *)
 
 val ops : t -> op list
 (** The script, for inspection. *)

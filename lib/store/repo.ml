@@ -494,45 +494,66 @@ let load path store =
 
 (* ---- retrieval ---- *)
 
+(* Walk back from [version] until [known] yields a materialized
+   version's content ([`Known]) or a full object is reached
+   ([`Full (v, digest)]); the deltas come back in replay order as
+   [(version, digest)]. [known] is not consulted for [version] itself.
+   A chain longer than the number of stored versions must revisit
+   one. *)
+let walk_chain t ~known version =
+  let bound = Hashtbl.length t.stored in
+  let rec go v acc depth =
+    match if v = version then None else known v with
+    | Some content -> Ok (`Known content, acc)
+    | None -> (
+        match Hashtbl.find_opt t.stored v with
+        | None -> Error (Printf.sprintf "version %d is not stored" v)
+        | Some (Full digest) -> Ok (`Full (v, digest), acc)
+        | Some (Delta_from (p, digest)) ->
+            if depth > bound then Error "delta chain contains a cycle"
+            else go p ((v, digest) :: acc) (depth + 1))
+  in
+  go version [] 0
+
 (* [bytes], when given, accumulates the logical size of every object
    read along the replay — the observed recreation cost the telemetry
    ledger records. Callers pass it only while the Obs gate is on, so
    the plain path does no extra work. *)
-let replay_deltas ?bytes t base deltas =
-  let count n =
-    match bytes with
-    | Some r -> r := !r +. float_of_int n
-    | None -> ()
-  in
-  List.fold_left
-    (fun acc digest ->
-      let* content = acc in
-      let* encoded = Object_store.get t.store digest in
-      count (String.length encoded);
-      match Line_diff.decode encoded with
-      | d -> (
-          try Ok (Line_diff.apply content d)
-          with Invalid_argument e -> Error e)
-      | exception Invalid_argument e -> Error e)
-    (Ok base) deltas
+let replay_step ?bytes t lines digest =
+  let* encoded = Object_store.get t.store digest in
+  (match bytes with
+  | Some r -> r := !r +. float_of_int (String.length encoded)
+  | None -> ());
+  match Line_diff.decode encoded with
+  | d -> (
+      try Ok (Line_diff.apply_lines lines d) with Invalid_argument e -> Error e)
+  | exception Invalid_argument e -> Error e
+
+(* The chain is replayed on line arrays: one split of [base], then
+   fetch, digest-verify, decode and apply per delta, one join at the
+   end. *)
+let replay_deltas ?bytes t base = function
+  | [] -> Ok base
+  | deltas ->
+      let rec go lines = function
+        | [] -> Ok (Line_diff.join lines)
+        | (_, digest) :: rest ->
+            let* lines = replay_step ?bytes t lines digest in
+            go lines rest
+      in
+      go (Line_diff.split base) deltas
 
 (* The cache-free path: reads every object along the chain. Integrity
    checks ([verify], [check_all_versions], [repair]) must use this one
    — a cached string would mask on-disk corruption they exist to
    find. *)
 let checkout_uncached t version =
-  (* Walk back to a full object, then replay deltas forward. *)
-  let rec chain v acc =
-    match Hashtbl.find_opt t.stored v with
-    | None -> Error (Printf.sprintf "version %d is not stored" v)
-    | Some (Full digest) -> Ok (digest, acc)
-    | Some (Delta_from (p, digest)) ->
-        if List.length acc > Hashtbl.length t.stored then
-          Error "delta chain contains a cycle"
-        else chain p (digest :: acc)
+  let* base, deltas = walk_chain t ~known:(fun _ -> None) version in
+  let* base =
+    match base with
+    | `Known c -> Ok c
+    | `Full (_, digest) -> Object_store.get t.store digest
   in
-  let* base_digest, deltas = chain version [] in
-  let* base = Object_store.get t.store base_digest in
   replay_deltas t base deltas
 
 (* ---- materialization LRU ---- *)
@@ -625,29 +646,17 @@ let checkout t version =
       Ok content
   | None ->
       let counter = match t0 with Some _ -> Some (ref 0.0) | None -> None in
-      let rec chain v acc =
-        match if v = version then None else cache_find t v with
-        | Some content -> Ok (`Content content, acc)
-        | None -> (
-            match Hashtbl.find_opt t.stored v with
-            | None -> Error (Printf.sprintf "version %d is not stored" v)
-            | Some (Full digest) -> Ok (`Digest digest, acc)
-            | Some (Delta_from (p, digest)) ->
-                if List.length acc > Hashtbl.length t.stored then
-                  Error "delta chain contains a cycle"
-                else chain p (digest :: acc))
-      in
-      let* base, deltas = chain version [] in
+      let* base, deltas = walk_chain t ~known:(cache_find t) version in
       Telemetry.bump_checkout t.telemetry version ~cached:false;
       t.telemetry_dirty <- true;
-      let miss = match base with `Digest _ -> true | `Content _ -> false in
+      let miss = match base with `Full _ -> true | `Known _ -> false in
       let* base_content =
         match base with
-        | `Content c ->
+        | `Known c ->
             t.cache_partial_hits <- t.cache_partial_hits + 1;
             record_cache "partial";
             Ok c
-        | `Digest d ->
+        | `Full (_, d) ->
             t.cache_misses <- t.cache_misses + 1;
             record_cache "miss";
             let r = Object_store.get t.store d in
@@ -1250,15 +1259,39 @@ let hop_pairs t ~max_hops =
     ids;
   !pairs
 
-(* All version contents, index 1..n. *)
+(* All version contents, index 1..n. Each version is materialized
+   once, from its stored parent's content, so every object is read and
+   digest-verified once; versions are visited in id order and each
+   chain walks and fetches in [checkout_uncached]'s order, so the first
+   failure reports the same error. *)
 let all_contents t =
   let n = t.next_id - 1 in
+  let memo = Hashtbl.create (2 * n) in
+  let rec replay lines = function
+    | [] -> Ok ()
+    | (v, digest) :: rest ->
+        let* lines = replay_step t lines digest in
+        Hashtbl.replace memo v (Line_diff.join lines);
+        replay lines rest
+  in
+  let materialize v =
+    let* base, deltas = walk_chain t ~known:(Hashtbl.find_opt memo) v in
+    let* base =
+      match base with
+      | `Known c -> Ok c
+      | `Full (b, digest) ->
+          let* c = Object_store.get t.store digest in
+          Hashtbl.replace memo b c;
+          Ok c
+    in
+    if deltas = [] then Ok () else replay (Line_diff.split base) deltas
+  in
   let arr = Array.make (n + 1) "" in
   let rec go v =
     if v > n then Ok arr
     else
-      let* c = checkout_uncached t v in
-      arr.(v) <- c;
+      let* () = if Hashtbl.mem memo v then Ok () else materialize v in
+      arr.(v) <- Hashtbl.find memo v;
       go (v + 1)
   in
   go 1

@@ -19,7 +19,11 @@ let test_empty_documents () =
   let d = Line_diff.diff "" "a\nb" in
   Alcotest.(check string) "empty to doc" "a\nb" (Line_diff.apply "" d);
   let d = Line_diff.diff "a\nb" "" in
-  Alcotest.(check string) "doc to empty" "" (Line_diff.apply "a\nb" d)
+  Alcotest.(check string) "doc to empty" "" (Line_diff.apply "a\nb" d);
+  (* a script that keeps no piece still yields the empty document's
+     one piece, so the next delta in a chain sees what [split ""] sees *)
+  Alcotest.(check (array string)) "no piece kept" [| "" |]
+    (Line_diff.apply_lines [| "a" |] (Line_diff.decode "D 1\n"))
 
 let test_invert () =
   let a = "a\nb\nc\nd" and b = "a\nX\nc" in
@@ -50,10 +54,13 @@ let test_decode_malformed () =
 
 let test_apply_wrong_source () =
   let d = Line_diff.diff "a\nb\nc\nd\ne" "a\nb" in
-  Alcotest.(check bool) "wrong source rejected" true
-    (match Line_diff.apply "a" d with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  Alcotest.check_raises "source too short"
+    (Invalid_argument "Line_diff.apply: source too short") (fun () ->
+      ignore (Line_diff.apply "a" d));
+  Alcotest.check_raises "source not consumed"
+    (Invalid_argument
+       "Line_diff.apply: script does not consume the whole source")
+    (fun () -> ignore (Line_diff.apply "a\nb\nc\nd\ne\nf" d))
 
 let test_size_positive () =
   let d = Line_diff.diff "a\nb" "a\nc" in
@@ -78,6 +85,70 @@ let test_random_roundtrips () =
     if not (Line_diff.equal d d') then Alcotest.fail "codec failed"
   done
 
+(* Chain replay on line arrays (one split, every delta, one join) must
+   be indistinguishable from folding [apply] over strings: same
+   document on a valid chain, same [Invalid_argument] message when a
+   delta mid-chain was built against another source. *)
+
+let gen_doc =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        ( 6,
+          map2
+            (fun lines nl -> String.concat "\n" lines ^ if nl then "\n" else "")
+            (list_size (int_bound 12) (map (Printf.sprintf "r%d") (int_bound 6)))
+            bool );
+      ])
+
+let replay_strings base ds =
+  try Ok (List.fold_left Line_diff.apply base ds)
+  with Invalid_argument m -> Error m
+
+let replay_lines base ds =
+  try
+    Ok (Line_diff.join (List.fold_left Line_diff.apply_lines (Line_diff.split base) ds))
+  with Invalid_argument m -> Error m
+
+let rec chain_deltas = function
+  | a :: (b :: _ as rest) -> Line_diff.diff a b :: chain_deltas rest
+  | _ -> []
+
+let arb_chain =
+  QCheck.make
+    ~print:QCheck.Print.(list (fun s -> Printf.sprintf "%S" s))
+    QCheck.Gen.(
+      map2 (fun base rest -> base :: rest) gen_doc
+        (list_size (int_range 1 20) gen_doc))
+
+let qcheck_replay_matches_fold =
+  QCheck.Test.make ~name:"line-array replay = fold of apply" ~count:300
+    arb_chain (fun docs ->
+      let ds = chain_deltas docs in
+      let expected = Ok (List.nth docs (List.length docs - 1)) in
+      replay_strings (List.hd docs) ds = expected
+      && replay_lines (List.hd docs) ds = expected)
+
+let qcheck_wrong_source_same_error =
+  QCheck.Test.make ~name:"wrong-source delta mid-chain: same error" ~count:300
+    QCheck.(triple arb_chain small_nat bool)
+    (fun (docs, at, longer) ->
+      let ds = Array.of_list (chain_deltas docs) in
+      let at = at mod Array.length ds in
+      let src = List.nth docs at in
+      (* a source with one line more (overrun) or one fewer (not
+         consumed) than the document the chain reaches at [at] *)
+      let pieces = Line_diff.split src in
+      let wrong =
+        if longer || Array.length pieces < 2 then src ^ "\nextra"
+        else Line_diff.join (Array.sub pieces 0 (Array.length pieces - 1))
+      in
+      ds.(at) <- Line_diff.diff wrong (List.nth docs (at + 1));
+      let ds = Array.to_list ds in
+      let got = replay_lines (List.hd docs) ds in
+      Result.is_error got && got = replay_strings (List.hd docs) ds)
+
 let suite =
   [
     Alcotest.test_case "roundtrip basic" `Quick test_roundtrip_basic;
@@ -90,4 +161,6 @@ let suite =
     Alcotest.test_case "apply wrong source" `Quick test_apply_wrong_source;
     Alcotest.test_case "sizes" `Quick test_size_positive;
     Alcotest.test_case "random roundtrips" `Quick test_random_roundtrips;
+    QCheck_alcotest.to_alcotest qcheck_replay_matches_fold;
+    QCheck_alcotest.to_alcotest qcheck_wrong_source_same_error;
   ]

@@ -143,9 +143,18 @@ let test_cyclic_stored_chain () =
   in
   write_file (meta_path dir) mutated;
   let repo = ok (Repo.open_repo ~path:dir) in
-  (match Repo.checkout repo 1 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "cycle must fail checkout");
+  let cycle = Error "delta chain contains a cycle" in
+  List.iter
+    (fun v ->
+      Alcotest.(check (result string string))
+        (Printf.sprintf "checkout %d" v) cycle (Repo.checkout repo v);
+      Alcotest.(check (result string string))
+        (Printf.sprintf "checkout_uncached %d" v) cycle
+        (Repo.checkout_uncached repo v))
+    [ 1; 2 ];
+  (match Repo.reveal_graph repo () with
+  | Error e -> Alcotest.(check string) "reveal_graph" "delta chain contains a cycle" e
+  | Ok _ -> Alcotest.fail "cycle must fail reveal_graph");
   match Repo.verify repo with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "verify must flag the cycle"
@@ -340,6 +349,43 @@ let test_corrupt_blob_detected_on_checkout () =
   let result = ok (Repo.fsck ~path:dir ~repair:false) in
   Alcotest.(check bool) "fsck reports problems" true (result.Repo.problems <> [])
 
+let test_corrupt_mid_chain_blob () =
+  Faults.reset ();
+  let dir, _, contents = mk_chain_repo () in
+  (* versions 2..4 are deltas down one chain: corrupt version 2's, which
+     version 4's replay reads after the full base *)
+  let delta_of_2 =
+    String.split_on_char '\n' (read_file (meta_path dir))
+    |> List.find_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ "stored"; "2"; "delta"; "1"; d ] -> Some d
+           | _ -> None)
+    |> Option.get
+  in
+  flip_byte (object_path dir delta_of_2) 5;
+  let repo = ok (Repo.open_repo ~path:dir) in
+  let cached = ok (Repo.checkout repo 1) in
+  Alcotest.(check string) "full base still reads" (List.hd contents) cached;
+  let uncached_err =
+    match Repo.checkout_uncached repo 4 with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "corrupt mid-chain blob must fail checkout_uncached"
+  in
+  Alcotest.(check bool) "digest mismatch reported" true
+    (contains uncached_err "corrupt" || contains uncached_err "digest");
+  let before = Repo.cache_stats repo in
+  (* twice: a version cached by the first failure would hit the second
+     time *)
+  for _ = 1 to 2 do
+    Alcotest.(check (result string string)) "checkout reports the same error"
+      (Error uncached_err) (Repo.checkout repo 4)
+  done;
+  let after = Repo.cache_stats repo in
+  Alcotest.(check int) "no hit: version 4 never cached" before.Repo.hits
+    after.Repo.hits;
+  Alcotest.(check int) "both replays started from cached version 1"
+    (before.Repo.partial_hits + 2) after.Repo.partial_hits
+
 let test_repair_restores_all_versions () =
   Faults.reset ();
   let dir, repo, contents = mk_chain_repo () in
@@ -437,6 +483,8 @@ let suite =
       test_crash_before_journal_keeps_old_plan;
     Alcotest.test_case "corrupt blob on checkout" `Quick
       test_corrupt_blob_detected_on_checkout;
+    Alcotest.test_case "corrupt mid-chain blob" `Quick
+      test_corrupt_mid_chain_blob;
     Alcotest.test_case "repair restores all versions" `Quick
       test_repair_restores_all_versions;
     Alcotest.test_case "lock excludes other process" `Quick

@@ -184,6 +184,34 @@ let test_repo_storage_parents () =
     [ (0, 1); (0, 2) ]
     (Repo.storage_parents repo)
 
+(* Optimize's content loader materializes each version once from its
+   stored parent; after a min-storage plan that stores older versions
+   as deltas of newer ones it must still agree with checking every
+   version out on its own. *)
+let test_repo_contents_after_reorder () =
+  let repo = ok (Repo.init ~path:(temp_dir ())) in
+  (* each commit drops lines, so the newest (smallest) version is the
+     cheapest to materialize and older ones become its descendants *)
+  let lines = List.init 60 (fun i -> Printf.sprintf "row %d" i) in
+  let docs =
+    List.init 8 (fun v ->
+        String.concat "\n" (List.filteri (fun i _ -> i < 60 - (5 * v)) lines))
+  in
+  List.iter (fun d -> ignore (ok (Repo.commit repo d))) docs;
+  ignore (ok (Repo.optimize repo Repo.Min_storage));
+  Alcotest.(check bool) "some parent has a larger id than its child" true
+    (List.exists (fun (p, c) -> p > c) (Repo.storage_parents repo));
+  let _, contents = ok (Repo.reveal_graph repo ()) in
+  List.iteri
+    (fun i d ->
+      let v = i + 1 in
+      Alcotest.(check string) (Printf.sprintf "version %d" v) d contents.(v);
+      Alcotest.(check string)
+        (Printf.sprintf "version %d uncached" v)
+        (ok (Repo.checkout_uncached repo v))
+        contents.(v))
+    docs
+
 let test_repo_unknown_parent () =
   let repo = ok (Repo.init ~path:(temp_dir ())) in
   match Repo.commit repo ~parents:[ 42 ] "content" with
@@ -205,5 +233,7 @@ let suite =
     Alcotest.test_case "optimize strategies" `Quick
       test_repo_optimize_strategies;
     Alcotest.test_case "storage parents" `Quick test_repo_storage_parents;
+    Alcotest.test_case "contents after reorder" `Quick
+      test_repo_contents_after_reorder;
     Alcotest.test_case "unknown parent" `Quick test_repo_unknown_parent;
   ]
