@@ -13,7 +13,14 @@
     shifts every descendant equally — or its access-frequency-weighted
     analogue in the workload-aware variant (Figure 16). Swaps whose
     storage increase is non-positive but that reduce recreation are
-    always taken. O(|V|²) after the O(1) per-candidate bookkeeping. *)
+    always taken.
+
+    Each round scores every remaining candidate from O(1) state:
+    subtree weights are kept current across swaps, recomputed only on
+    the two root paths a swap changes. The descendant test walks a
+    root path, and only for a candidate that would become the round's
+    new best. An accepted swap costs its subtree plus the child lists
+    along those two paths. S swaps cost O(|V| · S) plus those walks. *)
 
 val solve :
   Aux_graph.t ->

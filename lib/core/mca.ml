@@ -10,7 +10,8 @@ module Digraph = Versioning_graph.Digraph
    selected in-edge of their target (the classic reduced costs).
 
    The surviving edges live in parallel arrays, compacted in place each
-   round; [orig] names the input edge each one stands for. An edge's
+   round by the same single pass that makes the next round's
+   selection; [orig] names the input edge each one stands for. An edge's
    endpoint at any level is the active vertex containing its input
    endpoint, so the unwind needs no per-level copies: the edge chosen
    into a supernode displaces exactly the cycle edge of the member
@@ -26,7 +27,71 @@ module Digraph = Versioning_graph.Digraph
    they can have become parallel; input parallel reveals are left to
    the selection's tie rule. *)
 
-let weight = Storage_graph.storage_cost
+(* The prune's (src, dst) key -> edge index map: open addressing with
+   linear probing over int arrays, so lookups allocate nothing. A slot
+   is live only when its stamp is the current one; [clear] bumps the
+   stamp instead of touching the arrays. Capacity doubles at half load,
+   so it follows the most edges rebuilt in one round, not the edge
+   count. *)
+module Pairs = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable stamps : int array;
+    mutable bits : int;
+    mutable used : int;
+    mutable stamp : int;
+  }
+
+  let create () =
+    let bits = 6 in
+    {
+      keys = Array.make (1 lsl bits) 0;
+      vals = Array.make (1 lsl bits) 0;
+      stamps = Array.make (1 lsl bits) 0;
+      bits;
+      used = 0;
+      stamp = 1;
+    }
+
+  let clear t =
+    t.stamp <- t.stamp + 1;
+    t.used <- 0
+
+  (* Multiplicative hashing: the top [bits] bits of the 63-bit product. *)
+  let slot t key = (key * 0x1E3779B97F4A7C15) lsr (63 - t.bits)
+
+  let rec probe t key h =
+    if t.stamps.(h) <> t.stamp || t.keys.(h) = key then h
+    else probe t key ((h + 1) land (Array.length t.keys - 1))
+
+  (* Index stored under [key], or -1. *)
+  let find t key =
+    let h = probe t key (slot t key) in
+    if t.stamps.(h) = t.stamp then t.vals.(h) else -1
+
+  let rec replace t key v =
+    let h = probe t key (slot t key) in
+    if t.stamps.(h) = t.stamp then t.vals.(h) <- v
+    else begin
+      t.keys.(h) <- key;
+      t.vals.(h) <- v;
+      t.stamps.(h) <- t.stamp;
+      t.used <- t.used + 1;
+      if 2 * t.used > Array.length t.keys then begin
+        let keys = t.keys and vals = t.vals and stamps = t.stamps in
+        let size = 2 * Array.length keys in
+        t.keys <- Array.make size 0;
+        t.vals <- Array.make size 0;
+        t.stamps <- Array.make size 0;
+        t.bits <- t.bits + 1;
+        t.used <- 0;
+        Array.iteri
+          (fun i s -> if s = t.stamp then replace t keys.(i) vals.(i))
+          stamps
+      end
+    end
+end
 
 let solve g =
   Solver_obs.timed ~algo:"mca" @@ fun () ->
@@ -37,11 +102,16 @@ let solve g =
      supernode it adds, so ids stay below 2 * n_orig + 1. *)
   let max_ids = (2 * n_orig) + 1 in
   (* Input edges in the order rounds scan them: the reverse of
-     [Digraph.iter_edges]. *)
+     [Digraph.iter_edges], filled from the back (no list of E cells). *)
+  let n_edges = Digraph.n_edges dg in
   let input =
-    Array.of_list (Digraph.fold_edges dg ~init:[] ~f:(fun acc e -> e :: acc))
+    Array.make n_edges
+      { Digraph.src = 0; dst = 0; label = Aux_graph.{ delta = 0.0; phi = 0.0 } }
   in
-  let n_edges = Array.length input in
+  let k = ref n_edges in
+  Digraph.iter_edges dg (fun e ->
+      decr k;
+      input.(!k) <- e);
   let src = Array.map (fun (e : _ Digraph.edge) -> e.src) input in
   let dst = Array.map (fun (e : _ Digraph.edge) -> e.dst) input in
   let w =
@@ -62,24 +132,60 @@ let solve g =
   let red = Array.make max_ids 0.0 in
   let cyc_in = Array.make max_ids (-1) in
   let super = Array.make max_ids (-1) in
-  let pairs = Hashtbl.create 64 in
+  let pairs = Pairs.create () in
   let next_id = ref n_orig in
   let round = ref 0 in
   (* (supernode, members), newest first *)
   let history = ref [] in
   let finished = ref false and error = ref None in
-  while not (!finished || Option.is_some !error) do
+  (* One pass over the surviving edges: drop those inside a cycle, keep
+     the rest in order, rebuilding (and pruning) those touching one, and
+     select each active vertex's cheapest in-edge over the compacted
+     order: ties toward the smaller source id, then the earlier edge.
+     With [comp] the identity it is the first round's plain selection. *)
+  let compact_and_select () =
     for i = 0 to !n_act - 1 do
       best.(act.(i)) <- -1
     done;
+    Pairs.clear pairs;
+    let j = ref 0 in
     for i = 0 to !m - 1 do
-      let d = dst.(i) in
-      if d <> root then begin
-        let b = best.(d) in
-        if b < 0 || w.(i) < w.(b) || (w.(i) = w.(b) && src.(i) < src.(b)) then
-          best.(d) <- i
+      let s0 = src.(i) and d0 = dst.(i) in
+      let s = comp.(s0) and d = comp.(d0) in
+      if s <> d then begin
+        let wi = if d <> d0 then w.(i) -. red.(d0) else w.(i) in
+        let keep =
+          (s = s0 && d = d0)
+          ||
+          let key = (s * max_ids) + d in
+          let e = Pairs.find pairs key in
+          if e >= 0 && w.(e) <= wi then false
+          else begin
+            Pairs.replace pairs key !j;
+            true
+          end
+        in
+        if keep then begin
+          src.(!j) <- s;
+          dst.(!j) <- d;
+          w.(!j) <- wi;
+          orig.(!j) <- orig.(i);
+          if d <> root then begin
+            let b = best.(d) in
+            if b < 0 || wi < w.(b) || (wi = w.(b) && s < src.(b)) then
+              best.(d) <- !j
+          end;
+          incr j
+        end
       end
     done;
+    m := !j
+  in
+  for v = 0 to n_orig - 1 do
+    comp.(v) <- v
+  done;
+  compact_and_select ();
+  while not (!finished || Option.is_some !error) do
     for i = 0 to !n_act - 1 do
       let v = act.(i) in
       if v <> root && best.(v) < 0 then
@@ -148,35 +254,7 @@ let solve g =
         Array.blit act' 0 act 0 !n';
         n_act := !n';
         incr round;
-        (* Compact in place: drop edges inside a cycle, keep the rest in
-           order, rebuilding (and pruning) those touching a cycle. *)
-        Hashtbl.reset pairs;
-        let j = ref 0 in
-        for i = 0 to !m - 1 do
-          let s0 = src.(i) and d0 = dst.(i) in
-          let s = comp.(s0) and d = comp.(d0) in
-          if s <> d then begin
-            let wi = if d <> d0 then w.(i) -. red.(d0) else w.(i) in
-            let keep =
-              (s = s0 && d = d0)
-              ||
-              let key = (s * max_ids) + d in
-              match Hashtbl.find_opt pairs key with
-              | Some e when w.(e) <= wi -> false
-              | _ ->
-                  Hashtbl.replace pairs key !j;
-                  true
-            in
-            if keep then begin
-              src.(!j) <- s;
-              dst.(!j) <- d;
-              w.(!j) <- wi;
-              orig.(!j) <- orig.(i);
-              incr j
-            end
-          end
-        done;
-        m := !j
+        compact_and_select ()
       end
     end
   done;

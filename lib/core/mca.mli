@@ -2,7 +2,10 @@
     optimal storage graph for Problem 1 in the {e directed} cases
     (Lemma 2 / Table 1), computed with Edmonds' algorithm
     (Chu–Liu/Edmonds with cycle contraction), O(E·R) for R ≤ V
-    contraction rounds.
+    contraction rounds: each round is one pass over the surviving
+    edges, which compacts them and selects the next in-edges. The
+    parallel-edge prune's table is sized by the edges one round
+    rebuilds, not by E.
 
     This is the minimum-storage extreme of the tradeoff: no other
     valid solution stores fewer bytes, but recreation costs are
@@ -14,6 +17,3 @@ val solve : Aux_graph.t -> (Storage_graph.t, string) result
     the root (no valid solution exists). Deterministic: weight ties
     are broken toward smaller source ids, and among parallel reveals
     of equal weight toward the last revealed. *)
-
-val weight : Storage_graph.t -> float
-(** Alias for {!Storage_graph.storage_cost}. *)

@@ -1,3 +1,5 @@
+module Digraph = Versioning_graph.Digraph
+
 type report = {
   n_versions : int;
   storage : float;
@@ -13,15 +15,6 @@ let close a b =
 
 let weight_eq (a : Aux_graph.weight) (b : Aux_graph.weight) =
   close a.delta b.delta && close a.phi b.phi
-
-(* All revealed weights per edge — [Aux_graph.delta] only reports the
-   first-revealed one, but solvers may legitimately pick any parallel
-   reveal, so the check accepts a match against any of them. *)
-let revealed_table g =
-  let tbl = Hashtbl.create 256 in
-  Versioning_graph.Digraph.iter_edges (Aux_graph.graph g) (fun e ->
-      Hashtbl.add tbl (e.src, e.dst) e.label);
-  tbl
 
 let check g sg =
   let errors = ref [] in
@@ -59,20 +52,28 @@ let check g sg =
   end;
   if !errors = [] then begin
     (* Every chosen edge must be a revealed matrix entry with the
-       weight the solution claims. Delta edges may be used in either
+       weight the solution claims. [Aux_graph.delta] only reports the
+       first-revealed weight, but solvers may pick any parallel reveal,
+       so a match against any of them counts; v's in- and out-edges
+       hold every reveal of the pair. Delta edges may be used in either
        direction: the symmetric scenarios treat ⟨i, j⟩ as undirected. *)
-    let revealed = revealed_table g in
+    let dg = Aux_graph.graph g in
     for v = 1 to m do
       let p = parents.(v) in
       let w = Storage_graph.edge_weight sg v in
-      let candidates =
-        if p = 0 then Option.to_list (Aux_graph.materialization g v)
-        else
-          Hashtbl.find_all revealed (p, v) @ Hashtbl.find_all revealed (v, p)
+      let revealed = ref false and matched = ref false in
+      let consider (label : Aux_graph.weight) =
+        revealed := true;
+        if weight_eq w label then matched := true
       in
-      if candidates = [] then
+      if p = 0 then Option.iter consider (Aux_graph.materialization g v)
+      else begin
+        Digraph.iter_in dg v (fun e -> if e.src = p then consider e.label);
+        Digraph.iter_out dg v (fun e -> if e.dst = p then consider e.label)
+      end;
+      if not !revealed then
         error "edge %d -> %d is not revealed in the graph" p v
-      else if not (List.exists (weight_eq w) candidates) then
+      else if not !matched then
         error
           "edge %d -> %d weight <%.9g, %.9g> matches no revealed entry" p v
           w.Aux_graph.delta w.Aux_graph.phi

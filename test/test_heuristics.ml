@@ -124,6 +124,65 @@ let test_lmg_p5 () =
     | Ok _ -> Alcotest.fail "bound below SPT optimum must fail"
   done
 
+(* Oracle: [Lmg.solve] keeps subtree weights current across swaps and
+   tests descendants lazily; [Lmg_reference] rebuilds everything per
+   round. Small integer weights give many ρ ties, and the SPT parents
+   are mostly internal, so this reaches the descendant walk and the
+   root-path recomputes that large DC graphs (all SPT parents 0)
+   never do. The weighted runs catch a changed summation order. *)
+let test_lmg_matches_reference () =
+  let rng = Prng.create ~seed:61 in
+  for _ = 1 to 500 do
+    let g = Fixtures.random_graph ~n_min:5 ~n_max:30 ~density:0.3 rng in
+    let n = Aux_graph.n_versions g in
+    let base = Fixtures.ok (Mca.solve g) in
+    let spt = Fixtures.ok (Spt.solve g) in
+    (* Multiples of 0.1 tie often in exact arithmetic but round by
+       summation order, so a changed order changes a plan. *)
+    let weights =
+      Array.init (n + 1) (fun _ -> 0.1 *. float (Prng.int_in rng 1 9))
+    in
+    List.iter
+      (fun factor ->
+        let budget = factor *. Storage_graph.storage_cost base in
+        List.iter
+          (fun freqs ->
+            let sg = Lmg.solve g ~base ~spt ~budget ?freqs () in
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "n=%d budget=%g×C weighted=%b" n factor
+                 (Option.is_some freqs))
+              (Lmg_reference.solve g ~base ~spt ~budget ?freqs ())
+              (Storage_graph.to_parents sg))
+          [ None; Some weights ])
+      [ 1.05; 1.3; 2.0; 10.0 ]
+  done
+
+(* A swap's recreation shift can round a subtree's R below its new
+   parent's: here 1 − 1e16 rounds to −1e16, so moving V2 (R = 1e16)
+   under V1 (R = 1) leaves R2 = R3 = 0. V1's SPT in-edge then comes from
+   its own descendant V3 with a positive gain, and only the descendant
+   test keeps it from closing a cycle. *)
+let test_lmg_descendant_guard () =
+  let g = Aux_graph.create ~n_versions:3 in
+  Aux_graph.add_materialization g ~version:1 ~delta:10. ~phi:1.;
+  Aux_graph.add_materialization g ~version:2 ~delta:10. ~phi:1e16;
+  Aux_graph.add_materialization g ~version:3 ~delta:10. ~phi:2e16;
+  Aux_graph.add_delta g ~src:1 ~dst:2 ~delta:5. ~phi:0.;
+  Aux_graph.add_delta g ~src:2 ~dst:3 ~delta:5. ~phi:0.;
+  Aux_graph.add_delta g ~src:3 ~dst:1 ~delta:5. ~phi:0.;
+  let tree parents = Fixtures.ok (Storage_graph.of_parents g ~parents) in
+  let base = tree [ (0, 1); (0, 2); (2, 3) ] in
+  let spt = tree [ (3, 1); (1, 2); (0, 3) ] in
+  let budget = Storage_graph.storage_cost base in
+  let sg = Lmg.solve g ~base ~spt ~budget () in
+  Fixtures.check_valid g sg;
+  Alcotest.(check (list (pair int int))) "only V2 moves"
+    [ (0, 1); (1, 2); (2, 3) ]
+    (Storage_graph.to_parents sg);
+  Alcotest.(check (list (pair int int))) "same as the reference"
+    (Lmg_reference.solve g ~base ~spt ~budget ())
+    (Storage_graph.to_parents sg)
+
 (* ---- MP ---- *)
 
 let test_mp_theta_respected () =
@@ -373,6 +432,8 @@ let suite =
     Alcotest.test_case "lmg workload-aware wins" `Quick
       test_lmg_workload_aware_wins;
     Alcotest.test_case "lmg p5 binary search" `Quick test_lmg_p5;
+    Alcotest.test_case "lmg matches reference" `Quick test_lmg_matches_reference;
+    Alcotest.test_case "lmg descendant guard" `Quick test_lmg_descendant_guard;
     Alcotest.test_case "mp theta respected" `Quick test_mp_theta_respected;
     Alcotest.test_case "mp infeasible" `Quick test_mp_infeasible;
     Alcotest.test_case "mp tight theta" `Quick test_mp_tight_theta_is_spt;

@@ -308,6 +308,49 @@ let test_mca_counters_pinned () =
   Alcotest.(check (float 0.)) "cycles contracted" 1322. (value cycles -. c0);
   Alcotest.(check (float 0.)) "rounds" 218. (value rounds -. r0)
 
+(* LMG on the first pinned graph at the cycle's budget, unweighted and
+   with seeded access frequencies: the weighted plan (its float subtree
+   sums must not drift) and the greedy loop's work counters. *)
+let pinned_lmg =
+  [
+    (false, "4e661a5e52ad2c9f7cdecb862d133c6b", 32., 47472., 31.);
+    (true, "27aade6a2c5ea6f584bc764a1f991ab3", 32., 47472., 31.);
+  ]
+
+let test_lmg_counters_pinned () =
+  let module Obs = Versioning_obs.Obs in
+  let module Metrics = Versioning_obs.Metrics in
+  let g = dc_graph 1 in
+  let mca = Fixtures.ok (Mca.solve g) in
+  let spt = Fixtures.ok (Spt.solve g) in
+  let budget = 1.5 *. Storage_graph.storage_cost mca in
+  let rng = Prng.create ~seed:17 in
+  let freqs =
+    Array.init (Aux_graph.n_versions g + 1) (fun _ -> Prng.float rng 10.0)
+  in
+  let value name =
+    Option.value ~default:0.0
+      (List.assoc_opt
+         (Printf.sprintf {|dsvc_solver_%s_total{algo="lmg"}|} name)
+         (Metrics.snapshot_values ()))
+  in
+  let names = [ "iterations"; "swaps_considered"; "swaps_accepted" ] in
+  Obs.with_enabled true @@ fun () ->
+  List.iter
+    (fun (weighted, digest, rounds, considered, accepted) ->
+      let before = List.map value names in
+      let freqs = if weighted then Some freqs else None in
+      let sg = Lmg.solve g ~base:mca ~spt ~budget ?freqs () in
+      let label what = Printf.sprintf "weighted=%b %s" weighted what in
+      Fixtures.check_valid g sg;
+      Alcotest.(check string) (label "plan") digest (plan_digest sg);
+      List.iter2
+        (fun (name, expected) b ->
+          Alcotest.(check (float 0.)) (label name) expected (value name -. b))
+        (List.combine names [ rounds; considered; accepted ])
+        before)
+    pinned_lmg
+
 let suite =
   [
     Alcotest.test_case "pipeline invariants" `Quick test_pipeline_invariants;
@@ -322,4 +365,5 @@ let suite =
     Alcotest.test_case "solver plans pinned" `Quick test_solver_plans_pinned;
     Alcotest.test_case "tie-breaks pinned" `Quick test_tie_breaks_pinned;
     Alcotest.test_case "mca counters pinned" `Quick test_mca_counters_pinned;
+    Alcotest.test_case "lmg counters pinned" `Quick test_lmg_counters_pinned;
   ]
